@@ -239,31 +239,30 @@ def _live_request_p95(machine):
     """Per-request-class p95 off the machine's live telemetry, or None.
 
     Only available when a telemetry session is installed (the
-    ``--telemetry-out`` sweep path): the session's registry holds the
-    ``request.latency.<class>`` histograms. Reads race the simulation
-    thread by design -- plain dict/attribute reads under the GIL -- so
-    any torn iteration is simply skipped until the next beat.
+    ``--telemetry-out`` sweep path): the session's attribution rollup
+    holds each class's latency histogram, filtered here to the classes
+    the machine declares. Reads race the simulation thread by design --
+    plain dict/attribute reads under the GIL -- so any torn iteration
+    is simply skipped until the next beat.
     """
     from repro.sim.telemetry.session import active_session
 
     session = active_session()
-    if session is None:
+    classes = machine.request_classes
+    if session is None or not classes:
         return None
     try:
         for telemetry in reversed(session.telemetries):
             if telemetry.machine is not machine:
                 continue
             out = {}
-            for name in telemetry.metrics.names():
-                cls = name.partition("request.latency.")[2]
-                if not cls:
-                    continue
-                snap = telemetry.metrics.value(name)
-                if snap and snap.get("count"):
-                    out[cls] = snap["p95"]
+            for cls in sorted(set(classes.values())):
+                hist = telemetry.attribution.latency(cls)
+                if hist is not None and hist.count:
+                    out[cls] = hist.percentile(95)
             return out or None
     except RuntimeError:
-        pass  # registry mutated mid-iteration; next beat retries
+        pass  # rollup mutated mid-iteration; next beat retries
     return None
 
 

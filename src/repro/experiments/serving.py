@@ -12,8 +12,8 @@ the figure sweeps), and checks:
 - measured speedup bands for the regimes where near-data execution
   should win, and honest near-ties where it should not;
 - request-class latency percentile sanity (``p50 <= p95 <= p99``) from
-  the :class:`~repro.sim.telemetry.requests.RequestLatencyProbe`
-  fields that the sweep dashboard also renders;
+  the :class:`~repro.sim.telemetry.requests.RequestTracker` fields,
+  read off the same attribution rollup the sweep dashboard renders;
 - for trace replay, bit-identical cycles/output between a replayed
   synthesized trace and the direct run it was synthesized from.
 """

@@ -10,6 +10,7 @@ and stall totals, and which windowed time series were captured.
 import json
 import os
 
+from repro.sim.telemetry.metrics import bucket_percentile
 from repro.sim.telemetry.perfetto import load_and_validate
 
 
@@ -164,36 +165,23 @@ def _merge_histogram(dest, snap):
             dest[field] = value if dest[field] is None else pick(dest[field], value)
 
 
-def _bucket_percentile(buckets, count, p):
-    """Upper-bound ``p``-th percentile from merged bucket counts."""
-    if not count or not buckets:
-        return 0.0
-    rank = -(-count * p // 100)  # ceil without importing math
-    seen = 0
-    bounds = sorted(buckets, key=float)
-    for bound in bounds:
-        seen += buckets[bound]
-        if seen >= rank:
-            return float(bound)
-    return float(bounds[-1])
+def _empty_histogram():
+    return {"count": 0, "sum": 0.0, "min": None, "max": None, "buckets": {}}
 
 
-def _empty_component():
-    return {
-        "total": 0.0,
-        "count": 0,
-        "sum": 0.0,
-        "min": None,
-        "max": None,
-        "buckets": {},
-    }
+def _finish_histogram(hist):
+    """Derive mean and p50/p95/p99 once a merged histogram is complete."""
+    count = hist["count"]
+    hist["mean"] = hist["sum"] / count if count else 0.0
+    for p in (50, 95, 99):
+        hist[f"p{p}"] = bucket_percentile(hist["buckets"], count, p)
 
 
 def aggregate_attribution(root):
     """Merge every ``attribution.json`` under ``root`` per request class.
 
-    Per-component histograms merge bucket-wise (the same scheme the
-    latency histograms use), so the reported waterfall percentiles are
+    Each class's end-to-end ``latency`` histogram and its per-component
+    histograms merge bucket-wise, so the reported percentiles are
     sweep-wide; coverage is cycle-weighted across machines. Returns
     ``{}`` when no run captured attribution.
     """
@@ -207,15 +195,22 @@ def aggregate_attribution(root):
         for cls, entry in (payload.get("classes") or {}).items():
             dest = merged.setdefault(
                 cls,
-                {"count": 0, "cycles": 0.0, "residue": 0.0, "components": {}},
+                {
+                    "count": 0,
+                    "cycles": 0.0,
+                    "residue": 0.0,
+                    "latency": _empty_histogram(),
+                    "components": {},
+                },
             )
             dest["count"] += entry.get("count", 0)
+            _merge_histogram(dest["latency"], entry.get("latency"))
             cycles = entry.get("cycles", 0.0)
             dest["cycles"] += cycles
             dest["residue"] += (1.0 - entry.get("coverage", 1.0)) * cycles
             for component, comp in (entry.get("components") or {}).items():
                 comp_dest = dest["components"].setdefault(
-                    component, _empty_component()
+                    component, dict(_empty_histogram(), total=0.0)
                 )
                 comp_dest["total"] += comp.get("total", 0.0)
                 _merge_histogram(comp_dest, comp)
@@ -223,12 +218,10 @@ def aggregate_attribution(root):
         cycles = dest["cycles"]
         dest["coverage"] = 1.0 - dest["residue"] / cycles if cycles else 1.0
         del dest["residue"]
+        _finish_histogram(dest["latency"])
         for comp in dest["components"].values():
-            count = comp["count"]
-            comp["mean"] = comp["sum"] / count if count else 0.0
+            _finish_histogram(comp)
             comp["share"] = comp["total"] / cycles if cycles else 0.0
-            for p in (50, 95, 99):
-                comp[f"p{p}"] = _bucket_percentile(comp["buckets"], count, p)
     return merged
 
 
@@ -271,10 +264,7 @@ def aggregate_sweep(root):
             subsystems[prefix] = subsystems.get(prefix, 0) + value
         for key, snap in (metrics.get("histograms") or {}).items():
             base = key.partition("{")[0]
-            dest = histograms.setdefault(
-                base, {"count": 0, "sum": 0.0, "min": None, "max": None, "buckets": {}}
-            )
-            _merge_histogram(dest, snap)
+            _merge_histogram(histograms.setdefault(base, _empty_histogram()), snap)
         # The fault session writes fault_report.json one level above the
         # per-machine dirs (runs/<slug>/fault_report.json, beside
         # machine-NN/); tolerate either placement, dedup by path.
@@ -289,19 +279,12 @@ def aggregate_sweep(root):
                     (fault_report.get("injected") or {}).values()
                 )
     for hist in histograms.values():
-        count = hist["count"]
-        hist["mean"] = hist["sum"] / count if count else 0.0
-        for p in (50, 95, 99):
-            hist[f"p{p}"] = _bucket_percentile(hist["buckets"], count, p)
-    # Serving workloads declare request classes (GET/PUT/SCAN/...); each
-    # surfaces as a request.latency.<class> histogram family. Roll them
-    # up under their own key so dashboards and CI can assert on
-    # per-class tail percentiles without string-matching family names.
-    requests = {
-        name.partition("request.latency.")[2]: hist
-        for name, hist in histograms.items()
-        if name.startswith("request.latency.")
-    }
+        _finish_histogram(hist)
+    # Per-class end-to-end latency has one source: the attribution
+    # rollup each run writes to attribution.json. Its latency histograms
+    # become the requests block, so it lists the waterfall's classes.
+    attribution = aggregate_attribution(root)
+    requests = {cls: entry.pop("latency") for cls, entry in attribution.items()}
     return {
         "kind": "leviathan-dashboard",
         "root": root,
@@ -316,7 +299,7 @@ def aggregate_sweep(root):
         "subsystems": dict(sorted(subsystems.items())),
         "histograms": dict(sorted(histograms.items())),
         "requests": dict(sorted(requests.items())),
-        "attribution": aggregate_attribution(root),
+        "attribution": attribution,
         "spans_orphaned": spans_orphaned,
         "faults_injected": faults_injected,
         "retries": counters.get("invoke.retries_observed", 0),
@@ -375,7 +358,7 @@ def render_dashboard(agg):
     if any(hist["count"] for hist in requests.values()):
         lines += [
             "",
-            "## Request-class latency percentiles (serving workloads)",
+            "## Request-class latency percentiles (end to end)",
             "",
             "| class | n | mean | p50 | p95 | p99 | max |",
             "|---|---|---|---|---|---|---|",

@@ -1001,18 +1001,6 @@ class Hierarchy:
         self.fill_engine.drain_destructors()
         self.stats.add("morph.flushes")
 
-    # ------------------------------------------------------------------
-    # historical entry points kept for direct component access
-    # ------------------------------------------------------------------
-    def _evict_llc(self, bank, victim):
-        self.shared.evict_llc(bank, victim)
-
-    def _evict_engine_l1(self, tile, victim):
-        self.private.evict_engine_l1(tile, victim)
-
-    def _drain_destructors(self):
-        self.fill_engine.drain_destructors()
-
 
 def _engine_l1_config(cfg):
     """Cache geometry for the engine's small coherent L1d."""

@@ -104,9 +104,9 @@ class Machine:
         self.faults = None
         #: Request-class map for serving workloads, or None. Maps an
         #: invoke action name or stream base name to a request-class
-        #: label; telemetry buckets span latencies per class under
-        #: ``request.latency.<class>``. Declared via
-        #: :func:`repro.sim.telemetry.requests.declare_request_classes`.
+        #: label; the latency-attribution rollup buckets request spans
+        #: per class. Set by
+        #: :class:`repro.sim.telemetry.requests.RequestTracker`.
         self.request_classes = None
         # Last: hand the fully-built machine to any installed telemetry
         # or fault session (module-global checks; no-ops when inactive).

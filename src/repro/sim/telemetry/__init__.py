@@ -30,10 +30,7 @@ from repro.sim.telemetry.perfetto import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.sim.telemetry.requests import (
-    RequestLatencyProbe,
-    declare_request_classes,
-)
+from repro.sim.telemetry.requests import RequestTracker
 from repro.sim.telemetry.session import (
     Telemetry,
     TelemetrySession,
@@ -53,8 +50,7 @@ __all__ = [
     "LogHistogram",
     "MetricsRegistry",
     "TimeSeries",
-    "RequestLatencyProbe",
-    "declare_request_classes",
+    "RequestTracker",
     "Span",
     "SpanTracker",
     "Telemetry",

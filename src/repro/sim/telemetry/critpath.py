@@ -270,21 +270,21 @@ class AttributionRollup:
         #: class -> accumulation state.
         self._classes = {}
 
-    def _entry(self, cls):
-        entry = self._classes.get(cls)
-        if entry is None:
-            entry = self._classes[cls] = {
-                "count": 0,
-                "cycles": 0.0,
-                "unattributed": 0.0,
-                "latency": LogHistogram(),
-                "totals": dict.fromkeys(COMPONENTS, 0.0),
-                "hists": {c: LogHistogram() for c in COMPONENTS},
-            }
-        return entry
+    @staticmethod
+    def _new_entry():
+        return {
+            "count": 0,
+            "cycles": 0.0,
+            "unattributed": 0.0,
+            "latency": LogHistogram(),
+            "totals": dict.fromkeys(COMPONENTS, 0.0),
+            "hists": {c: LogHistogram() for c in COMPONENTS},
+        }
 
     def observe(self, cls, comps, duration):
-        entry = self._entry(cls)
+        entry = self._classes.get(cls)
+        if entry is None:
+            entry = self._classes[cls] = self._new_entry()
         entry["count"] += 1
         entry["cycles"] += duration
         entry["unattributed"] += comps.get("unattributed", 0.0)
@@ -310,51 +310,65 @@ class AttributionRollup:
     def classes(self):
         return sorted(self._classes)
 
+    def latency(self, cls):
+        """The end-to-end latency histogram of ``cls``, or None if unseen."""
+        entry = self._classes.get(cls)
+        return entry["latency"] if entry is not None else None
+
+    @staticmethod
+    def _coverage(entries):
+        cycles = sum(e["cycles"] for e in entries)
+        residue = sum(e["unattributed"] for e in entries)
+        return 1.0 - residue / cycles if cycles > 0.0 else 1.0
+
     def coverage(self, cls=None):
         """Fraction of request cycles a named component explains."""
         if cls is None:
-            cycles = sum(e["cycles"] for e in self._classes.values())
-            residue = sum(e["unattributed"] for e in self._classes.values())
-        else:
-            entry = self._classes[cls]
-            cycles, residue = entry["cycles"], entry["unattributed"]
-        if cycles <= 0.0:
-            return 1.0
-        return 1.0 - residue / cycles
+            return self._coverage(self._classes.values())
+        return self._coverage([self._classes[cls]])
+
+    def _snapshot_entry(self, entry):
+        comps = {}
+        for name in COMPONENTS:
+            # The full histogram snapshot (incl. buckets) rides along so
+            # sweep dashboards can merge percentiles across machines.
+            comps[name] = dict(
+                entry["hists"][name].snapshot(),
+                total=entry["totals"][name],
+                share=(
+                    entry["totals"][name] / entry["cycles"]
+                    if entry["cycles"]
+                    else 0.0
+                ),
+            )
+        return {
+            "count": entry["count"],
+            "cycles": entry["cycles"],
+            "coverage": self._coverage([entry]),
+            "latency": entry["latency"].snapshot(),
+            "components": comps,
+        }
 
     def snapshot(self):
         """The JSON-safe ``latency_attribution`` block."""
-        out = {}
-        for cls in sorted(self._classes):
-            entry = self._classes[cls]
-            comps = {}
-            for name in COMPONENTS:
-                # The full histogram snapshot (incl. buckets) rides
-                # along so sweep dashboards can merge percentiles
-                # across machines the same way latency histograms do.
-                comps[name] = dict(
-                    entry["hists"][name].snapshot(),
-                    total=entry["totals"][name],
-                    share=(
-                        entry["totals"][name] / entry["cycles"]
-                        if entry["cycles"]
-                        else 0.0
-                    ),
-                )
-            out[cls] = {
-                "count": entry["count"],
-                "cycles": entry["cycles"],
-                "coverage": self.coverage(cls),
-                "latency": entry["latency"].snapshot(),
-                "components": comps,
-            }
-        return out
+        return {
+            cls: self._snapshot_entry(self._classes[cls])
+            for cls in sorted(self._classes)
+        }
 
-    def stat_fields(self, prefix="attribution"):
-        """Flat float fields for merging into ``RunResult.stats``."""
+    def stat_fields(self, classes):
+        """Flat ``attribution.<class>.*`` floats for ``RunResult.stats``.
+
+        One block per class in ``classes``; a class with no requests
+        reports zeros with coverage 1.0, so reruns always produce the
+        same key set.
+        """
         fields = {}
-        for cls, entry in self.snapshot().items():
-            base = f"{prefix}.{cls}"
+        for cls in classes:
+            entry = self._snapshot_entry(
+                self._classes.get(cls) or self._new_entry()
+            )
+            base = f"attribution.{cls}"
             fields[f"{base}.count"] = float(entry["count"])
             fields[f"{base}.cycles"] = float(entry["cycles"])
             fields[f"{base}.coverage"] = float(entry["coverage"])

@@ -25,6 +25,28 @@ import math
 import re
 
 
+def bucket_percentile(buckets, count, p):
+    """Upper-bound estimate of the ``p``-th percentile (0 < p <= 100).
+
+    ``buckets`` maps each log2 bucket's upper bound -- a number, or its
+    string form as in :meth:`LogHistogram.snapshot` -- to its
+    observation count, and ``count`` is their total. The estimate is
+    the bound of the bucket holding the requested rank. Live histograms
+    and bucket-merged snapshots (sweep dashboards) both go through
+    here, so their percentiles agree.
+    """
+    if not count or not buckets:
+        return 0.0
+    rank = math.ceil(count * p / 100.0)
+    seen = 0
+    bounds = sorted(buckets, key=float)
+    for bound in bounds:
+        seen += buckets[bound]
+        if seen >= rank:
+            return float(bound)
+    return float(bounds[-1])
+
+
 class Counter:
     """A monotonically increasing total."""
 
@@ -107,15 +129,11 @@ class LogHistogram:
 
     def percentile(self, p):
         """Upper-bound estimate of the ``p``-th percentile (0 < p <= 100)."""
-        if not self.count:
-            return 0.0
-        rank = math.ceil(self.count * p / 100.0)
-        seen = 0
-        for b in sorted(self.buckets):
-            seen += self.buckets[b]
-            if seen >= rank:
-                return self.bucket_bound(b)
-        return self.bucket_bound(max(self.buckets))
+        return bucket_percentile(
+            {self.bucket_bound(b): n for b, n in self.buckets.items()},
+            self.count,
+            p,
+        )
 
     def snapshot(self):
         return {

@@ -1,134 +1,215 @@
-"""Per-request-class tail-latency tracking for serving workloads.
+"""Request tracking: causal spans and per-class latency attribution.
 
-The span tracker already times every offload (``invoke:<action>``
-spans, dispatch to future fill) and every stream entry
-(``<stream>[<index>]`` spans, push to pop). Serving workloads want
-those same durations bucketed by *request class* -- GET vs PUT vs
-SCAN -- so tail percentiles (p50/p95/p99) can be reported per class.
+:class:`RequestTracker` is the request half of telemetry. It stitches
+the offload and stream lifecycle events into spans (see
+:mod:`~repro.sim.telemetry.spans`), decomposes each invoke's memory
+accesses into cache/NoC/DRAM cycles, and feeds every closed request
+span into an :class:`~repro.sim.telemetry.critpath.AttributionRollup`.
+That rollup is the single source of per-request-class latency: its
+per-class ``latency`` histogram is what ``RunResult.stats``
+(``request.<class>.p99``), heartbeats and sweep dashboards report.
 
-Two pieces:
-
-- :func:`declare_request_classes` tags a machine with a map from span
-  key (invoke action name, or stream base name) to request-class
-  label. :meth:`Telemetry._span_closed
-  <repro.sim.telemetry.session.Telemetry>` consults it and observes
-  ``request.latency.<class>`` histograms alongside the generic ones.
-- :class:`RequestLatencyProbe` is the workload-side helper: it
-  declares the classes *and* attaches its own :class:`Telemetry`
-  instance, so percentiles are available even when no
-  ``--telemetry-out`` session is installed. Like all telemetry it is a
-  pure observer -- simulated results are bit-identical with and
-  without it -- but serving workloads attach it unconditionally so
-  correlation-ID draws (which only happen while the bus has
-  subscribers) are identical across configurations.
+Serving workloads attach a tracker with their request classes -- a map
+from span key (invoke action name, or stream base name) to class label.
+The tracker stores that map as ``machine.request_classes``, which every
+observer of the machine (including a full
+:class:`~repro.sim.telemetry.session.Telemetry`) uses to bucket spans.
+Like all telemetry the tracker is a pure observer -- simulated results
+are bit-identical with and without it -- but serving workloads attach
+it unconditionally so correlation-ID draws (which only happen while the
+bus has subscribers) are identical across configurations.
 
 Usage::
 
-    probe = RequestLatencyProbe(machine, {"get": "get", "put": "put"})
+    tracker = RequestTracker(machine, {"get": "get", "put": "put"})
     ... build and run the machine ...
-    probe.finalize()
-    result.stats.update(probe.stat_fields())   # request.get.p95, ...
+    result.stats.update(tracker.stat_fields())   # request.get.p95, ...
 """
 
-from repro.sim.telemetry.critpath import COMPONENTS
-from repro.sim.telemetry.session import Telemetry
+from repro.sim.events import (
+    DegradedToFallback,
+    EngineTask,
+    EngineTaskDone,
+    EngineTaskStart,
+    FutureFilled,
+    InvokeDispatched,
+    InvokeRetried,
+    InvokeStalled,
+    MemoryAccess,
+    StreamBlocked,
+    StreamPop,
+    StreamPush,
+)
+from repro.sim.telemetry.critpath import (
+    AccessCostModel,
+    AttributionRollup,
+    span_class,
+)
+from repro.sim.telemetry.spans import SpanTracker
 
-#: Snapshot fields copied into flat per-class stats, in report order.
+#: Latency snapshot fields copied into flat per-class stats, in report order.
 PERCENTILE_FIELDS = ("count", "p50", "p95", "p99", "mean", "max")
 
-#: Per-component fields copied into flat attribution stats.
-ATTRIBUTION_FIELDS = ("total", "p50", "p95", "p99")
 
+class RequestTracker:
+    """Request spans + latency attribution for one machine's event bus.
 
-def declare_request_classes(machine, classes):
-    """Tag ``machine`` so telemetry buckets span latencies per class.
-
-    ``classes`` maps a span key to a request-class label. Keys are
-    matched against the invoke *action name* (an ``invoke:lookup``
+    ``classes`` (optional) declares the machine's request classes: keys
+    are matched against the invoke *action name* (an ``invoke:lookup``
     span matches key ``"lookup"``) and the stream *base name* (a
-    ``kv-scan3[7]`` span matches key ``"kv-scan3"``). Several keys may
-    share one class -- e.g. every per-client scan stream mapping to
-    ``"scan"``. Returns the machine for chaining.
-    """
-    machine.request_classes = dict(classes)
-    return machine
-
-
-class RequestLatencyProbe:
-    """Attach per-request-class latency histograms to one machine.
-
-    Wraps a dedicated :class:`Telemetry` instance (probe-labelled so a
-    saved artifact directory is distinguishable) and declares the
-    request classes on the machine. After ``machine.run()``, call
-    :meth:`finalize` once, then read :meth:`percentiles` or merge
-    :meth:`stat_fields` into a ``RunResult``'s stats.
+    ``kv-scan3[7]`` span matches key ``"kv-scan3"``); several keys may
+    share one class. After ``machine.run()``, merge :meth:`stat_fields`
+    into a ``RunResult``'s stats.
     """
 
-    def __init__(self, machine, classes, max_spans=200_000):
+    def __init__(self, machine, classes=None, max_spans=200_000):
         self.machine = machine
-        self.classes = dict(classes)
-        declare_request_classes(machine, self.classes)
-        self.telemetry = Telemetry(
-            machine, label="request-probe", max_spans=max_spans
+        if classes is not None:
+            machine.request_classes = dict(classes)
+        self.spans = SpanTracker(max_spans=max_spans, on_close=self._span_closed)
+        #: Per-request latency attribution (see critpath.COMPONENTS).
+        self.attribution = AttributionRollup()
+        #: cid -> accumulated [cache, noc, dram] memory cycles, stashed
+        #: onto the invoke span's args at close time.
+        self._mem = {}
+        self._cost_model = None
+        self._finalized = False
+        self._attached = False
+        self._handlers = self._subscriptions()
+        self.attach()
+
+    def _subscriptions(self):
+        """The (event type, handler) pairs this observer subscribes."""
+        return (
+            (InvokeDispatched, self._on_invoke_dispatched),
+            (InvokeStalled, self._on_invoke_stalled),
+            (EngineTask, self._on_engine_task),
+            (EngineTaskStart, self.spans.engine_start),
+            (EngineTaskDone, self.spans.engine_done),
+            (FutureFilled, self._on_future_filled),
+            (StreamPush, self._on_stream_push),
+            (StreamPop, self._on_stream_pop),
+            (StreamBlocked, self._on_stream_blocked),
+            (MemoryAccess, self._on_memory_access),
+            (InvokeRetried, self._on_invoke_retried),
+            (DegradedToFallback, self._on_degraded),
         )
 
-    def finalize(self):
-        """Close out unfinished spans (call once, after the run)."""
-        self.telemetry.finalize()
+    # ------------------------------------------------------------------
+    # bus wiring
+    # ------------------------------------------------------------------
+    def attach(self):
+        if not self._attached:
+            for event_type, handler in self._handlers:
+                self.machine.events.subscribe(event_type, handler)
+            self._attached = True
         return self
 
     def detach(self):
-        """Stop observing the bus (recorded data stays readable)."""
-        self.telemetry.detach()
+        """Stop observing (idempotent; recorded data stays readable)."""
+        if self._attached:
+            for event_type, handler in self._handlers:
+                self.machine.events.unsubscribe(event_type, handler)
+            self._attached = False
         return self
 
-    def percentiles(self):
-        """Latency snapshot per request class.
+    # ------------------------------------------------------------------
+    # handlers: offload and stream lifecycle
+    # ------------------------------------------------------------------
+    def _on_invoke_dispatched(self, ev):
+        self.spans.invoke_dispatched(ev)
 
-        Returns ``{class: snapshot}`` where snapshot is the
-        :class:`~repro.sim.telemetry.metrics.LogHistogram` snapshot
-        dict (count/sum/min/max/mean/p50/p95/p99/buckets). Classes
-        with no completed requests map to ``None``.
-        """
-        out = {}
-        for cls in sorted(set(self.classes.values())):
-            out[cls] = self.telemetry.metrics.value(f"request.latency.{cls}")
-        return out
+    def _on_invoke_stalled(self, ev):
+        self.spans.invoke_stalled(ev)
 
-    def attribution(self):
-        """The probe's latency-attribution rollup (finalize first)."""
-        return self.telemetry.attribution
+    def _on_engine_task(self, ev):
+        self.spans.engine_task(ev)
+
+    def _on_future_filled(self, ev):
+        self.spans.future_filled(ev)
+
+    def _on_invoke_retried(self, ev):
+        self.spans.invoke_retried(ev)
+
+    def _on_degraded(self, ev):
+        self.spans.degraded(ev)
+
+    def _on_stream_push(self, ev):
+        self.spans.stream_push(ev)
+
+    def _on_stream_pop(self, ev):
+        self.spans.stream_pop(ev)
+
+    def _on_stream_blocked(self, ev):
+        self.spans.stream_blocked(ev)
+
+    def _on_memory_access(self, ev):
+        # Attribute the access to the invoke executing it: engine task
+        # contexts carry their invoke's cid, and the scheduler's current
+        # context is exactly who issued this access. The decomposition
+        # accumulates per cid and lands on the span at close time.
+        current = self.machine.scheduler.current
+        cid = getattr(current, "cid", None) if current is not None else None
+        if cid is None or not self.spans.is_open(cid):
+            return
+        if self._cost_model is None:
+            self._cost_model = AccessCostModel(self.machine)
+        cache, noc, dram = self._cost_model.decompose(ev.result)
+        acc = self._mem.get(cid)
+        if acc is None:
+            self._mem[cid] = [cache, noc, dram]
+        else:
+            acc[0] += cache
+            acc[1] += noc
+            acc[2] += dram
+
+    def _span_closed(self, span):
+        if span.cat == "invoke":
+            mem = self._mem.pop(span.cid, None)
+            if mem is not None:
+                span.args["mem_cycles"] = {
+                    "cache": mem[0],
+                    "noc": mem[1],
+                    "dram": mem[2],
+                }
+        if span.cat in ("invoke", "stream"):
+            # Stamp the resolved class onto the span so offline
+            # attribution (explain over trace.json) lands every span in
+            # the same bucket the live rollup used.
+            span.args["request_class"] = span_class(
+                span, self.machine.request_classes
+            )
+            self.attribution.observe_span(span)
+
+    # ------------------------------------------------------------------
+    # teardown and results
+    # ------------------------------------------------------------------
+    def finalize(self):
+        """Close spans still open at the current cycle (idempotent)."""
+        if not self._finalized:
+            self._finalized = True
+            self.spans.finalize(self.machine.scheduler.now)
+        return self
 
     def stat_fields(self):
-        """Flat JSON-safe floats for ``RunResult.stats``.
+        """Flat JSON-safe floats for ``RunResult.stats`` (finalizes first).
 
-        One ``request.<class>.<field>`` entry per class and percentile
-        field, e.g. ``request.get.p99``, plus the latency-attribution
-        waterfall: ``attribution.<class>.<component>.<field>`` for every
-        taxonomy component (see
-        :data:`~repro.sim.telemetry.critpath.COMPONENTS`) and
-        ``attribution.<class>.{count,cycles,coverage}``. Classes that
-        saw no requests report zeros, so reruns always produce the same
-        key set.
+        For every declared class: ``request.<class>.<field>`` for each
+        of :data:`PERCENTILE_FIELDS`, read off the rollup's per-class
+        latency histogram, plus the attribution waterfall from
+        :meth:`AttributionRollup.stat_fields
+        <repro.sim.telemetry.critpath.AttributionRollup.stat_fields>`.
+        Classes that saw no requests report zeros, so reruns always
+        produce the same key set.
         """
+        self.finalize()
+        classes = sorted(set((self.machine.request_classes or {}).values()))
         fields = {}
-        for cls, snap in self.percentiles().items():
+        for cls in classes:
+            hist = self.attribution.latency(cls)
+            snap = hist.snapshot() if hist is not None else None
             for field in PERCENTILE_FIELDS:
                 value = 0.0 if snap is None else float(snap[field])
                 fields[f"request.{cls}.{field}"] = value
-        attribution = self.telemetry.attribution.snapshot()
-        for cls in sorted(set(self.classes.values())):
-            entry = attribution.get(cls)
-            base = f"attribution.{cls}"
-            fields[f"{base}.count"] = float(entry["count"]) if entry else 0.0
-            fields[f"{base}.cycles"] = float(entry["cycles"]) if entry else 0.0
-            fields[f"{base}.coverage"] = (
-                float(entry["coverage"]) if entry else 1.0
-            )
-            for component in COMPONENTS:
-                comp = entry["components"][component] if entry else None
-                for field in ATTRIBUTION_FIELDS:
-                    fields[f"{base}.{component}.{field}"] = (
-                        float(comp[field]) if comp else 0.0
-                    )
+        fields.update(self.attribution.stat_fields(classes))
         return fields

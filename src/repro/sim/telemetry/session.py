@@ -1,13 +1,17 @@
 """The telemetry facade: attach, collect, save.
 
-:class:`Telemetry` subscribes one machine's event bus to a
-:class:`~repro.sim.telemetry.metrics.MetricsRegistry` and a
-:class:`~repro.sim.telemetry.spans.SpanTracker`, and knows how to write
-the three artifacts a run produces:
+:class:`Telemetry` extends the request tracker
+(:class:`~repro.sim.telemetry.requests.RequestTracker`: causal spans and
+per-class latency attribution) with a
+:class:`~repro.sim.telemetry.metrics.MetricsRegistry` fed by the same
+bus plus the fabric-pressure and resilience events, and knows how to
+write the artifacts a run produces:
 
 - ``trace.json``  -- the Perfetto/Chrome trace (spans + counter tracks);
 - ``metrics.json`` -- the JSON metrics snapshot;
-- ``metrics.prom`` -- the Prometheus-style text dump.
+- ``metrics.prom`` -- the Prometheus-style text dump;
+- ``attribution.json`` -- the per-request-class latency attribution
+  (the one source of per-class latency percentiles).
 
 :class:`TelemetrySession` scales that to whole experiment runs: while
 *installed*, every :class:`~repro.sim.system.Machine` constructed
@@ -28,90 +32,35 @@ import os
 
 from repro.sim.events import (
     CacheAccess,
-    DegradedToFallback,
     DramAccess,
     EngineFailed,
-    EngineTask,
-    EngineTaskDone,
-    EngineTaskStart,
     FaultInjected,
     FlitHop,
-    FutureFilled,
-    InvokeDispatched,
-    InvokeRetried,
-    InvokeStalled,
-    MemoryAccess,
-    StreamBlocked,
-    StreamPop,
-    StreamPush,
     WatchdogFired,
 )
-from repro.sim.telemetry.critpath import (
-    AccessCostModel,
-    AttributionRollup,
-    critical_path_flows,
-    span_class,
-)
+from repro.sim.telemetry.critpath import critical_path_flows
 from repro.sim.telemetry.metrics import MetricsRegistry
 from repro.sim.telemetry.perfetto import chrome_trace, write_chrome_trace
-from repro.sim.telemetry.spans import SpanTracker
+from repro.sim.telemetry.requests import RequestTracker
 
 
-class Telemetry:
-    """Metrics + spans for one machine, fed by its event bus."""
+class Telemetry(RequestTracker):
+    """Metrics + spans + attribution for one machine, fed by its event bus."""
 
     def __init__(self, machine, label=None, window=1024, max_spans=200_000):
-        self.machine = machine
         self.label = label
         self.metrics = MetricsRegistry(default_window=window)
-        self.spans = SpanTracker(max_spans=max_spans, on_close=self._span_closed)
-        #: Per-request latency attribution (see critpath.COMPONENTS).
-        self.attribution = AttributionRollup()
-        #: cid -> accumulated [cache, noc, dram] memory cycles, stashed
-        #: onto the invoke span's args at close time.
-        self._mem = {}
-        self._cost_model = None
-        self._finalized = False
-        self._attached = False
-        self._handlers = (
-            (InvokeDispatched, self._on_invoke_dispatched),
-            (InvokeStalled, self._on_invoke_stalled),
-            (EngineTask, self._on_engine_task),
-            (EngineTaskStart, self._on_engine_start),
-            (EngineTaskDone, self._on_engine_done),
-            (FutureFilled, self._on_future_filled),
-            (StreamPush, self._on_stream_push),
-            (StreamPop, self._on_stream_pop),
-            (StreamBlocked, self._on_stream_blocked),
+        super().__init__(machine, max_spans=max_spans)
+
+    def _subscriptions(self):
+        return super()._subscriptions() + (
             (CacheAccess, self._on_cache_access),
             (FlitHop, self._on_flit_hop),
             (DramAccess, self._on_dram_access),
-            (MemoryAccess, self._on_memory_access),
             (FaultInjected, self._on_fault_injected),
             (EngineFailed, self._on_engine_failed),
-            (InvokeRetried, self._on_invoke_retried),
-            (DegradedToFallback, self._on_degraded),
             (WatchdogFired, self._on_watchdog_fired),
         )
-        self.attach()
-
-    # ------------------------------------------------------------------
-    # bus wiring
-    # ------------------------------------------------------------------
-    def attach(self):
-        if not self._attached:
-            for event_type, handler in self._handlers:
-                self.machine.events.subscribe(event_type, handler)
-            self._attached = True
-        return self
-
-    def detach(self):
-        """Stop observing (idempotent; recorded data stays readable)."""
-        if self._attached:
-            for event_type, handler in self._handlers:
-                self.machine.events.unsubscribe(event_type, handler)
-            self._attached = False
-        return self
 
     # ------------------------------------------------------------------
     # handlers: offload lifecycle
@@ -130,7 +79,7 @@ class Telemetry:
                 labels={"tile": ev.tile},
                 help="in-flight (un-ACKed) invokes per core buffer",
             ).record(ev.time, buffer.in_flight)
-        self.spans.invoke_dispatched(ev)
+        super()._on_invoke_dispatched(ev)
 
     def _on_invoke_stalled(self, ev):
         self.metrics.counter("invoke.stall_events").inc()
@@ -138,7 +87,7 @@ class Telemetry:
             self.metrics.histogram(
                 "invoke.buffer_wait", help="cycles stalled on a full invoke buffer"
             ).observe(ev.wait)
-        self.spans.invoke_stalled(ev)
+        super()._on_invoke_stalled(ev)
 
     def _on_engine_task(self, ev):
         outcome = "accepted" if ev.accepted else "nacked"
@@ -152,27 +101,14 @@ class Telemetry:
                 labels={"tile": ev.tile},
                 help="busy offload task contexts + spill-queued tasks",
             ).record(t, engine.busy_offload + engine.queued_tasks)
-        self.spans.engine_task(ev)
-
-    def _on_engine_start(self, ev):
-        self.spans.engine_start(ev)
-
-    def _on_engine_done(self, ev):
-        self.spans.engine_done(ev)
+        super()._on_engine_task(ev)
 
     def _on_future_filled(self, ev):
         self.metrics.counter("future.fills").inc()
-        self.spans.future_filled(ev)
+        super()._on_future_filled(ev)
 
     def _span_closed(self, span):
         if span.cat == "invoke":
-            mem = self._mem.pop(span.cid, None)
-            if mem is not None:
-                span.args["mem_cycles"] = {
-                    "cache": mem[0],
-                    "noc": mem[1],
-                    "dram": mem[2],
-                }
             self.metrics.histogram(
                 "invoke.latency",
                 help="invoke issue to completion (incl. future fill), cycles",
@@ -188,46 +124,17 @@ class Telemetry:
                     self.metrics.histogram(metric).observe(cycles)
             if span.args.get("nacks"):
                 self.metrics.counter("invoke.nacked_spans").inc()
-            self._observe_request(span.name.partition(":")[2], span.duration)
         elif span.cat == "stream":
-            stream = span.name.split("[", 1)[0]
             self.metrics.histogram(
                 "stream.entry_latency",
-                labels={"stream": stream},
+                labels={"stream": span.name.split("[", 1)[0]},
                 help="push to pop, cycles",
             ).observe(span.duration)
-            self._observe_request(stream, span.duration)
         elif span.cat == "stream-wait":
             self.metrics.histogram(
                 "stream.block_cycles", labels={"side": span.args.get("side", "?")}
             ).observe(span.duration)
-        if span.cat in ("invoke", "stream"):
-            # Stamp the resolved class onto the span so offline
-            # attribution (explain over trace.json) lands every span in
-            # the same bucket the live rollup used.
-            span.args["request_class"] = span_class(
-                span, self.machine.request_classes
-            )
-            self.attribution.observe_span(span)
-
-    def _observe_request(self, key, duration):
-        """Bucket a closed span into its request-class latency histogram.
-
-        Serving workloads declare ``machine.request_classes`` -- a map
-        from invoke action name / stream base name to request class (see
-        :mod:`repro.sim.telemetry.requests`). Machines that never
-        declare one (every non-serving workload) skip this entirely.
-        """
-        classes = self.machine.request_classes
-        if not classes:
-            return
-        cls = classes.get(key)
-        if cls is None:
-            return
-        self.metrics.histogram(
-            f"request.latency.{cls}",
-            help="request issue to completion per request class, cycles",
-        ).observe(duration)
+        super()._span_closed(span)
 
     # ------------------------------------------------------------------
     # handlers: resilience (fault injection, retries, degradation)
@@ -249,11 +156,11 @@ class Telemetry:
         self.metrics.histogram(
             "invoke.retry_backoff", help="backoff cycles before each re-send"
         ).observe(ev.backoff)
-        self.spans.invoke_retried(ev)
+        super()._on_invoke_retried(ev)
 
     def _on_degraded(self, ev):
         self.metrics.counter("faults.degraded", labels={"kind": ev.kind}).inc()
-        self.spans.degraded(ev)
+        super()._on_degraded(ev)
 
     def _on_watchdog_fired(self, ev):
         self.metrics.counter("watchdog.fired").inc()
@@ -270,7 +177,7 @@ class Telemetry:
                 labels={"stream": ev.stream},
                 help="circular-buffer entries outstanding",
             ).record(ev.time, ev.occupancy)
-        self.spans.stream_push(ev)
+        super()._on_stream_push(ev)
 
     def _on_stream_pop(self, ev):
         self.metrics.counter("stream.pops", labels={"stream": ev.stream}).inc()
@@ -278,13 +185,13 @@ class Telemetry:
             self.metrics.timeseries(
                 "stream.occupancy", labels={"stream": ev.stream}
             ).record(ev.time, ev.occupancy)
-        self.spans.stream_pop(ev)
+        super()._on_stream_pop(ev)
 
     def _on_stream_blocked(self, ev):
         self.metrics.counter(
             "stream.blocked", labels={"stream": ev.stream, "side": ev.side}
         ).inc()
-        self.spans.stream_blocked(ev)
+        super()._on_stream_blocked(ev)
 
     # ------------------------------------------------------------------
     # handlers: fabric pressure
@@ -344,24 +251,7 @@ class Telemetry:
         self.metrics.histogram(
             "mem.request_latency", labels={"by": who}
         ).observe(ev.result.latency)
-        # Attribute the access to the invoke executing it: engine task
-        # contexts carry their invoke's cid, and the scheduler's current
-        # context is exactly who issued this access. The decomposition
-        # accumulates per cid and lands on the span at close time.
-        current = self.machine.scheduler.current
-        cid = getattr(current, "cid", None) if current is not None else None
-        if cid is None or not self.spans.is_open(cid):
-            return
-        if self._cost_model is None:
-            self._cost_model = AccessCostModel(self.machine)
-        cache, noc, dram = self._cost_model.decompose(ev.result)
-        acc = self._mem.get(cid)
-        if acc is None:
-            self._mem[cid] = [cache, noc, dram]
-        else:
-            acc[0] += cache
-            acc[1] += noc
-            acc[2] += dram
+        super()._on_memory_access(ev)
 
     # ------------------------------------------------------------------
     # teardown and artifacts
@@ -370,10 +260,8 @@ class Telemetry:
         """Close open spans and record run-level gauges (idempotent)."""
         if self._finalized:
             return self
-        self._finalized = True
-        now = self.machine.scheduler.now
-        self.spans.finalize(now)
-        self.metrics.gauge("machine.cycles").set(now)
+        super().finalize()
+        self.metrics.gauge("machine.cycles").set(self.machine.scheduler.now)
         self.metrics.gauge("spans.finished").set(len(self.spans.finished))
         self.metrics.counter("spans.unclosed").inc(self.spans.unclosed)
         self.metrics.counter("spans.dropped").inc(self.spans.dropped)

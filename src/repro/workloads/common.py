@@ -4,9 +4,9 @@ Every workload entry point -- case studies and serving zoo alike --
 funnels its completed machine through :func:`finish_run` into a
 :class:`RunResult`, and experiments group variant results into a
 :class:`StudyResult` keyed by the baseline. Serving workloads
-additionally merge :class:`~repro.sim.telemetry.requests.
-RequestLatencyProbe` percentile fields into ``RunResult.stats``
-(``request.<class>.p99`` etc.) before returning. The authoring
+additionally merge :class:`~repro.sim.telemetry.requests.RequestTracker`
+percentile fields into ``RunResult.stats`` (``request.<class>.p99``
+etc.) before returning. The authoring
 contract is documented in ``docs/workloads.md``.
 """
 

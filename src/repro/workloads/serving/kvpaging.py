@@ -28,7 +28,7 @@ Variants:
 Knobs: ``n_pages`` (working-set size), ``resident_pages`` (fast-tier
 capacity -> LLC size), ``reuse_distance`` (temporal locality; larger =
 worse). The request class ``decode`` surfaces per-invoke latency
-percentiles via :class:`~repro.sim.telemetry.requests.RequestLatencyProbe`.
+percentiles via a :class:`~repro.sim.telemetry.requests.RequestTracker`.
 """
 
 from repro.core.actor import Actor, action
@@ -40,7 +40,7 @@ from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.ops import Compute, Load, Store
 from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
-from repro.sim.telemetry.requests import RequestLatencyProbe
+from repro.sim.telemetry.requests import RequestTracker
 from repro.workloads.common import finish_run
 from repro.workloads.distributions import reuse_distance_indices
 
@@ -290,7 +290,9 @@ def run_leviathan(params=None, n_tiles=4, ideal=False, config_overrides=None):
     backing = _alloc_backing(machine, p)
     morph = PageMorph(runtime, p["n_pages"], p["page_bytes"], backing)
     allocator = runtime.allocator(DecodeWorker.SIZE, capacity=p["n_workers"])
-    probe = RequestLatencyProbe(machine, {"decode": "decode"})
+    # Attached unconditionally: pure observer, and keeping the bus
+    # active makes correlation-id draws identical across configs.
+    tracker = RequestTracker(machine, {"decode": "decode"})
     sinks = [{"decoded": 0} for _ in range(p["n_workers"])]
     for w, sequence in enumerate(access_sequences(p)):
         worker = DecodeWorker(morph, sequence)
@@ -309,6 +311,5 @@ def run_leviathan(params=None, n_tiles=4, ideal=False, config_overrides=None):
     result = finish_run(
         machine, "ideal" if ideal else "leviathan", output=output, profile=profile
     )
-    probe.finalize()
-    result.stats.update(probe.stat_fields())
+    result.stats.update(tracker.stat_fields())
     return result

@@ -18,10 +18,10 @@ Variants:
   per-client :class:`~repro.core.stream.Stream` whose producer walks
   buckets near the data and streams back only the values.
 
-Request classes (``get``/``put``/``scan``) are declared through
-:class:`~repro.sim.telemetry.requests.RequestLatencyProbe`, so every
+Request classes (``get``/``put``/``scan``) are declared through a
+:class:`~repro.sim.telemetry.requests.RequestTracker`, so every
 Leviathan run reports ``request.<class>.p50/p95/p99`` in its stats and
-sweeps surface them in the dashboard. The probe is attached
+sweeps surface them in the dashboard. The tracker is attached
 unconditionally (it is a pure observer; results stay bit-identical).
 
 :mod:`repro.workloads.serving.tracereplay` replays externally recorded
@@ -39,7 +39,7 @@ from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.ops import Compute, Load, Sleep, Store
 from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
-from repro.sim.telemetry.requests import RequestLatencyProbe
+from repro.sim.telemetry.requests import RequestTracker
 from repro.workloads.common import finish_run
 from repro.workloads.distributions import poisson_arrivals, zipfian_indices
 
@@ -360,7 +360,7 @@ def _run_kv(
     machine = Machine(cfg)
     profile = AccessProfile(machine)
     sinks = [{"get": 0, "put": 0, "scan": 0} for _ in schedules]
-    probe = None
+    tracker = None
     if use_runtime:
         runtime = Leviathan(machine)
         store = KVStore(machine, runtime, p)
@@ -380,7 +380,7 @@ def _run_kv(
                 classes[f"kv-scan{c}"] = "scan"
         # Attached unconditionally: pure observer, and keeping the bus
         # active makes correlation-id draws identical across configs.
-        probe = RequestLatencyProbe(machine, classes)
+        tracker = RequestTracker(machine, classes)
         for c, requests in enumerate(schedules):
             if c in streams:
                 streams[c].start()
@@ -409,9 +409,8 @@ def _run_kv(
     if output != expected:
         raise AssertionError(f"kvserve {name}: output {output} != oracle {expected}")
     result = finish_run(machine, name, output=output, profile=profile)
-    if probe is not None:
-        probe.finalize()
-        result.stats.update(probe.stat_fields())
+    if tracker is not None:
+        result.stats.update(tracker.stat_fields())
     return result
 
 

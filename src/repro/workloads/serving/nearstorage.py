@@ -22,7 +22,8 @@ Variants:
   no row movement are exactly the pushdown win.
 
 Per-chunk scan latency surfaces as request class ``storage_scan``
-(p50/p95/p99 in the dashboard).
+through a :class:`~repro.sim.telemetry.requests.RequestTracker`
+(p50/p95/p99 in the stats and the dashboard).
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.ops import Compute, Load
 from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
-from repro.sim.telemetry.requests import RequestLatencyProbe
+from repro.sim.telemetry.requests import RequestTracker
 from repro.workloads.common import finish_run
 
 #: Scaled defaults: a 64 KB fact table (8x the LLC) in 256 B chunks
@@ -214,7 +215,7 @@ def _pushdown_driver(machine, chunks, sink):
         sink["matched"] += int(matched)
 
 
-def _collect(machine, p, sinks, name, profile, probe=None):
+def _collect(machine, p, sinks, name, profile, tracker=None):
     output = [
         sum(s["joined"] for s in sinks),
         sum(s["matched"] for s in sinks),
@@ -222,9 +223,8 @@ def _collect(machine, p, sinks, name, profile, probe=None):
     if output != expected_output(p):
         raise AssertionError(f"nearstorage {name}: output != oracle")
     result = finish_run(machine, name, output=output, profile=profile)
-    if probe is not None:
-        probe.finalize()
-        result.stats.update(probe.stat_fields())
+    if tracker is not None:
+        result.stats.update(tracker.stat_fields())
     return result
 
 
@@ -260,7 +260,9 @@ def run_leviathan(params=None, n_tiles=8, ideal=False, config_overrides=None):
     runtime = Leviathan(machine)
     chunks = _build_chunks(machine, runtime, p)
     _build_dim(machine, p)  # same layout; the pushdown join never loads it
-    probe = RequestLatencyProbe(machine, {"scan": "storage_scan"})
+    # Attached unconditionally: pure observer, and keeping the bus
+    # active makes correlation-id draws identical across configs.
+    tracker = RequestTracker(machine, {"scan": "storage_scan"})
     sinks = [{"joined": 0, "matched": 0} for _ in range(p["n_scanners"])]
     for s, share in enumerate(_deal(chunks, p["n_scanners"])):
         machine.spawn(
@@ -270,5 +272,5 @@ def run_leviathan(params=None, n_tiles=8, ideal=False, config_overrides=None):
         )
     machine.run()
     return _collect(
-        machine, p, sinks, "ideal" if ideal else "leviathan", profile, probe
+        machine, p, sinks, "ideal" if ideal else "leviathan", profile, tracker
     )

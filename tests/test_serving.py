@@ -11,7 +11,9 @@ workload:
   and bit-identical replay of a synthesized trace — including the
   worked example embedded in ``docs/workloads.md``;
 - chaos: survivable fault plans change timing, never outputs;
-- request-class latency percentiles present and ordered;
+- request-class latency percentiles present and ordered, read off the
+  request tracker's attribution rollup (the one source of per-class
+  latency) by run stats and sweep dashboards alike;
 - every zoo module carries a module docstring (the public-API
   documentation pass is enforced, not aspirational).
 """
@@ -26,7 +28,10 @@ import pytest
 
 from repro.experiments import serving as serving_experiments
 from repro.experiments.pool import ExperimentPool, RunSpec, canonical_json, encode_result
+from repro.sim.events import CacheAccess, DramAccess, FlitHop, InvokeDispatched
 from repro.sim.faults import FaultSession
+from repro.sim.telemetry.requests import PERCENTILE_FIELDS, RequestTracker
+from repro.sim.telemetry.session import TelemetrySession, active_session
 from repro.workloads.serving import kvpaging, kvserve, nearstorage, tracereplay
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "workloads.md"
@@ -93,6 +98,81 @@ class TestFunctional:
     def test_baseline_carries_no_request_stats(self):
         base = kvserve.run_baseline(KV_SMALL, n_tiles=4)
         assert not any(k.startswith("request.") for k in base.stats)
+
+
+# ----------------------------------------------------------------------
+# the request tracker: one source for per-class latency
+# ----------------------------------------------------------------------
+@pytest.fixture
+def trackers(monkeypatch):
+    """Every RequestTracker a zoo workload attaches during the test."""
+    made = []
+
+    class Recording(RequestTracker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    for module in (kvserve, kvpaging, nearstorage):
+        monkeypatch.setattr(module, "RequestTracker", Recording)
+    return made
+
+
+def _request_keys(result):
+    return {k for k in result.stats if k.startswith(("request.", "attribution."))}
+
+
+class TestRequestTracker:
+    def test_request_stats_equal_rollup_latency(self, trackers):
+        lev = kvserve.run_leviathan(KV_SMALL, n_tiles=4)
+        (tracker,) = trackers
+        snapshot = tracker.attribution.snapshot()
+        for cls in ("get", "put", "scan"):
+            latency = snapshot[cls]["latency"]
+            assert latency["count"] > 0, cls
+            for field in PERCENTILE_FIELDS:
+                assert lev.stats[f"request.{cls}.{field}"] == float(latency[field])
+
+    def test_declared_class_without_requests_reports_zeros(self):
+        lev = kvserve.run_leviathan(dict(KV_SMALL, put_frac=0.0), n_tiles=4)
+        for field in PERCENTILE_FIELDS:
+            assert lev.stats[f"request.put.{field}"] == 0.0
+        assert lev.stats["attribution.put.count"] == 0.0
+        assert lev.stats["attribution.put.cycles"] == 0.0
+        assert lev.stats["attribution.put.coverage"] == 1.0
+        assert lev.stats["attribution.put.nack_retry.p99"] == 0.0
+        assert lev.stats["request.get.count"] > 0
+        busy = kvserve.run_leviathan(KV_SMALL, n_tiles=4)
+        assert busy.stats["request.put.count"] > 0
+        assert _request_keys(lev) == _request_keys(busy)
+
+    def test_heartbeat_p95_matches_run_stats(self):
+        from repro.experiments.monitor import _live_request_p95
+
+        with TelemetrySession() as session:
+            lev = kvserve.run_leviathan(KV_SMALL, n_tiles=4)
+            live = _live_request_p95(session.telemetries[-1].machine)
+        assert live == {
+            cls: lev.stats[f"request.{cls}.p95"] for cls in ("get", "put", "scan")
+        }
+
+    @pytest.mark.parametrize(
+        "run,params",
+        [
+            (kvserve.run_leviathan, KV_SMALL),
+            (kvpaging.run_leviathan, PAGING_SMALL),
+            (nearstorage.run_leviathan, STORAGE_SMALL),
+        ],
+        ids=["kvserve", "kvpaging", "nearstorage"],
+    )
+    def test_bus_carries_no_metrics_only_subscriptions(self, trackers, run, params):
+        assert active_session() is None
+        run(params, n_tiles=4)
+        (tracker,) = trackers
+        events = tracker.machine.events
+        for event_type in (CacheAccess, FlitHop, DramAccess):
+            assert not events.wants(event_type), event_type.__name__
+        assert events.wants(InvokeDispatched)
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +355,20 @@ class TestExperiments:
         pool = ExperimentPool(jobs=1, cache_dir=str(tmp_path / "cache"))
         exp = runner(pool=pool)
         exp.check()  # raises listing any failed expectation
+
+    def test_serve_kv_dashboard_requests_match_run_stats(self, tmp_path):
+        telemetry = tmp_path / "telemetry"
+        pool = ExperimentPool(
+            jobs=1, cache_dir=str(tmp_path / "cache"), telemetry_dir=str(telemetry)
+        )
+        results = pool.run_results(serving_experiments._kv_specs(KV_SMALL))
+        pool.write_dashboard()
+        requests = json.loads((telemetry / "dashboard.json").read_text())["requests"]
+        assert sorted(requests) == ["get", "put", "scan"]
+        for cls, hist in requests.items():
+            runs_total = sum(r.stats.get(f"request.{cls}.count", 0.0) for r in results)
+            assert runs_total > 0, cls
+            assert hist["count"] == runs_total, cls
 
     def test_registered_in_cli(self):
         from repro.experiments.cli import _EXPERIMENTS

@@ -1,6 +1,9 @@
 """The `telemetry` report command (repro.experiments.telemetry_report)."""
 
 import json
+import random
+
+import pytest
 
 import repro.experiments.cli as cli
 from repro.experiments.telemetry_report import (
@@ -258,6 +261,30 @@ class TestDashboardAggregation:
         assert agg["subsystems"]["noc"] == 3
         assert agg["nacks"] == 2
         assert agg["cycles"]["total"] == 2468.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_request_percentiles_match_union_of_observations(self, tmp_path, seed):
+        """Bucket-merged dashboard percentiles == one histogram over all."""
+        from repro.experiments.telemetry_report import aggregate_sweep
+        from repro.sim.telemetry.critpath import AttributionRollup
+        from repro.sim.telemetry.metrics import LogHistogram
+
+        rng = random.Random(seed)
+        union = LogHistogram()
+        for run in range(3):
+            rollup = AttributionRollup()
+            for _ in range(rng.randrange(1, 60)):
+                duration = rng.lognormvariate(5, 2)
+                union.observe(duration)
+                rollup.observe("get", {"unattributed": duration}, duration)
+            write_run(tmp_path, name=f"run-{run}")
+            (tmp_path / "runs" / f"run-{run}" / "machine-00" / "attribution.json").write_text(
+                json.dumps({"classes": rollup.snapshot()})
+            )
+        get = aggregate_sweep(str(tmp_path))["requests"]["get"]
+        assert get["count"] == union.count
+        for p in (50, 95, 99):
+            assert get[f"p{p}"] == union.percentile(p)
 
     def test_write_dashboard_artifacts(self, tmp_path):
         from repro.experiments.telemetry_report import write_dashboard
