@@ -1,158 +1,81 @@
-"""Wall-clock smoke guard driven by the host-performance lab.
+"""Wall-clock smoke guard for the simulator's core and offload paths.
 
-Budgets live in ``bench_baseline.json`` -- one entry per benchmark of
-the :mod:`repro.perf.registry`, recorded at ~2x a warm run on a
-development machine so the guard only trips on real structural
-regressions (an accidentally-quadratic wait queue, per-access
-allocation on a zero-subscriber path), not on runner jitter.
+Times the Fig. 18 hash-table study (baseline and Leviathan) best-of-3
+against fixed budgets recorded at ~2.5x a warm run on a development
+machine, failing only beyond ``REGRESSION_FACTOR`` x those -- so the
+guard trips on structural regressions (an accidentally-quadratic wait
+queue, per-access allocation on a zero-subscriber path), not on runner
+jitter. Host-time A/B measurement is the repository benchmark in
+``perfbench/``; this is only a coarse tripwire.
 
-One parametrized test covers the three configurations that must all fit
-the same budget:
+The measurement runs *detached*: with no telemetry session installed,
+every emit site guarded by ``bus.active`` costs one attribute load and
+a branch, and with no fault session every fault hook site guarded by a
+``faults is None`` check costs nothing. The test asserts both
+preconditions, so the budgets also cover the detached observers.
 
-- ``plain``: the simulator as the experiment harness runs it;
-- ``telemetry-detached``: every telemetry emit site is guarded by
-  ``bus.active``, so with no session installed the per-site cost is one
-  attribute load and a branch;
-- ``faults-detached``: every fault hook site is guarded by a
-  ``faults is None`` check (or an integer compare in the watchdog), so
-  a machine without a :class:`~repro.sim.faults.FaultSession` pays
-  nothing.
+Run directly for a report without asserting::
 
-To re-record after an intentional change::
-
-    PYTHONPATH=src python benchmarks/test_sim_speed.py --record
-
-which re-runs the *full* benchmark registry and rewrites
-``bench_baseline.json`` (the same file CI's bench job compares against;
-see docs/performance.md).
+    PYTHONPATH=src python benchmarks/test_sim_speed.py
 """
 
-import json
-from pathlib import Path
+import time
 
-import pytest
+#: Fig. 18 at the speed-smoke scale the budgets were recorded at.
+FIG18_PARAMS = {
+    "n_buckets": 64,
+    "nodes_per_bucket": 32,
+    "n_threads": 16,
+    "lookups_per_thread": 32,
+}
+FIG18_TILES = 16
 
-BASELINE_PATH = Path(__file__).with_name("bench_baseline.json")
+#: Per-runner budgets in seconds (~2.5x a warm dev-machine run).
+BUDGETS_S = {"run_baseline": 0.597, "run_leviathan": 1.0722}
 
-#: Fail when a run exceeds ``REGRESSION_FACTOR`` x the recorded budget.
+#: Fail when a run exceeds ``REGRESSION_FACTOR`` x its budget.
 REGRESSION_FACTOR = 2.0
 
 #: Best-of-N to shed scheduler noise and warmup.
 TRIALS = 3
 
-#: The macro benchmarks the smoke guard times on every tier-1 run (the
-#: full registry runs in CI's bench job; these two cover the core path
-#: and the engine/offload path like the original smoke test did).
-SMOKE_BENCHMARKS = ("fig18.hashtable_baseline", "fig18.hashtable_leviathan")
 
-_MODE_HINTS = {
-    "plain": (
-        "If this slowdown is intentional, re-record with: "
-        "PYTHONPATH=src python benchmarks/test_sim_speed.py --record"
-    ),
-    "telemetry-detached": (
-        "Check that every telemetry emit site is guarded by events.active."
-    ),
-    "faults-detached": (
-        "Check that every fault hook site is guarded by 'faults is None'."
-    ),
-}
+def _best_of(runner, trials=TRIALS):
+    timings = []
+    for _ in range(trials):
+        start = time.perf_counter()
+        runner(dict(FIG18_PARAMS), n_tiles=FIG18_TILES)
+        timings.append(time.perf_counter() - start)
+    return min(timings)
 
 
-def _load_budgets():
-    return json.loads(BASELINE_PATH.read_text())["benchmarks"]
+def _measure():
+    """``{runner name: best-of-TRIALS seconds}`` for both Fig. 18 runs."""
+    from repro.workloads import hashtable
+
+    return {name: _best_of(getattr(hashtable, name)) for name in BUDGETS_S}
 
 
-def _assert_detached(mode):
-    """No observer session may leak into a detached-mode measurement."""
-    if mode == "telemetry-detached":
-        from repro.sim.telemetry.session import active_session
+def test_sim_speed():
+    from repro.sim.faults import active_session as fault_session
+    from repro.sim.telemetry.session import active_session as telemetry_session
 
-        assert active_session() is None, "a TelemetrySession leaked into this test"
-    elif mode == "faults-detached":
-        from repro.sim.faults import active_session
-
-        assert active_session() is None, "a FaultSession leaked into this test"
-
-
-def _best_of(name, trials=TRIALS):
-    from repro.perf import registry
-    from repro.perf.bench import run_benchmark
-
-    result = run_benchmark(registry.get(name), trials=trials, warmup=0)
-    return min(result.trials_s)
-
-
-@pytest.mark.parametrize("mode", sorted(_MODE_HINTS))
-def test_sim_speed(mode):
-    _assert_detached(mode)
-    budgets = _load_budgets()
-    for name in SMOKE_BENCHMARKS:
-        budget = budgets[name]["median_s"] * REGRESSION_FACTOR
-        measured = _best_of(name)
+    assert telemetry_session() is None, "a TelemetrySession leaked into this test"
+    assert fault_session() is None, "a FaultSession leaked into this test"
+    for name, measured in _measure().items():
+        budget = BUDGETS_S[name] * REGRESSION_FACTOR
         assert measured <= budget, (
-            f"simulator speed regression ({mode}): {name} took "
+            f"simulator speed regression: hashtable.{name} took "
             f"{measured:.2f}s, budget {budget:.2f}s ({REGRESSION_FACTOR}x the "
-            f"recorded {budgets[name]['median_s']:.2f}s baseline). "
-            f"{_MODE_HINTS[mode]}"
+            f"recorded {BUDGETS_S[name]:.2f}s). Check that every telemetry "
+            "emit site is guarded by events.active and every fault hook "
+            "site by 'faults is None'."
         )
 
 
-#: Budget = BUDGET_FACTOR x the measured median at record time. With
-#: REGRESSION_FACTOR 2.0 on top, the guard trips at ~5x a warm run on
-#: the recording machine -- room for slower CI runners, tight enough to
-#: catch structural regressions.
-BUDGET_FACTOR = 2.5
-
-
-def record(trials=TRIALS):
-    """Re-record ``bench_baseline.json`` from the full registry."""
-    from repro.perf import registry
-    from repro.perf.bench import run_benchmark
-    from repro.perf.fingerprint import fingerprint
-
-    benchmarks = {}
-    for name in registry.names():
-        res = run_benchmark(registry.get(name), trials=trials, warmup=1)
-        budget = round(BUDGET_FACTOR * res.median_s, 4)
-        benchmarks[name] = {
-            "kind": res.kind,
-            "unit": res.unit,
-            "units": res.units,
-            "median_s": budget,
-            "q1_s": round(0.9 * budget, 4),
-            "q3_s": round(1.1 * budget, 4),
-            "measured_median_s": round(res.median_s, 4),
-            "measured_steps_per_sec": round(res.steps_per_sec, 1),
-        }
-        print(f"{name}: measured {res.median_s:.4f}s -> budget {budget:.4f}s")
-    payload = {
-        "schema": 1,
-        "kind": "leviathan-bench-baseline",
-        "comment": (
-            "Committed per-benchmark budgets for benchmarks/test_sim_speed.py "
-            "and CI's `bench --compare`. median_s is a BUDGET recorded at "
-            "~2.5x a warm dev-machine run; the smoke guard fails only beyond "
-            "REGRESSION_FACTOR x these, i.e. >~5x a typical dev machine. "
-            "Re-record: PYTHONPATH=src python benchmarks/test_sim_speed.py --record"
-        ),
-        "recorded_on": fingerprint(),
-        "benchmarks": benchmarks,
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"recorded to {BASELINE_PATH}")
-
-
 if __name__ == "__main__":
-    import sys
-
-    if "--record" in sys.argv:
-        record()
-    else:
-        budgets = _load_budgets()
-        for name in SMOKE_BENCHMARKS:
-            measured = _best_of(name)
-            print(
-                f"{name}: best-of-{TRIALS} {measured:.3f}s "
-                f"(budget {budgets[name]['median_s'] * REGRESSION_FACTOR:.3f}s)"
-            )
+    for name, measured in _measure().items():
+        print(
+            f"hashtable.{name}: best-of-{TRIALS} {measured:.3f}s "
+            f"(budget {BUDGETS_S[name] * REGRESSION_FACTOR:.3f}s)"
+        )

@@ -39,13 +39,11 @@ files that ``leviathan-repro status <cache-dir>`` tails from another
 terminal; sweeps with ``--telemetry-out`` finish by aggregating every
 run into ``dashboard.md`` / ``dashboard.json``.
 
-``leviathan-repro bench`` runs the host-performance lab
-(:mod:`repro.perf`): the registered micro/macro benchmarks with
-``--trials``/``--warmup``, writing ``BENCH_<git-sha>.json`` into
-``--out``. ``bench --compare BASELINE`` additionally renders a
-noise-aware verdict table against a baseline file (nonzero exit on a
-regression); ``bench --compare OLD NEW`` compares two recorded files
-without running anything. See ``docs/performance.md``.
+``leviathan-repro explain TARGET`` attributes a run's simulated
+request latency to taxonomy components (``--diff A B`` attributes the
+delta between two runs; ``--out DIR`` chooses where the report lands).
+Host-time measurement is the repository benchmark in ``perfbench/``;
+see ``docs/performance.md``.
 """
 
 import argparse
@@ -106,7 +104,7 @@ def main(argv=None):
         nargs="?",
         default="list",
         help="experiment name, 'all', 'list' (default), 'telemetry', "
-        "'status', 'explain', or 'bench'",
+        "'status', or 'explain'",
     )
     parser.add_argument(
         "target",
@@ -194,8 +192,7 @@ def main(argv=None):
         metavar="DIR",
         help="profile every pool run (cProfile + collapsed stacks), "
         "writing profile.json / profile.pstats / stacks.folded per run "
-        "under DIR (or beside --telemetry-out artifacts); for 'bench', "
-        "profile each benchmark once after its timed trials",
+        "under DIR (or beside --telemetry-out artifacts)",
     )
     parser.add_argument(
         "--flight-recorder",
@@ -224,48 +221,13 @@ def main(argv=None):
         "run dirs or cached-result .json entries) to taxonomy "
         "components, instead of explaining a single run",
     )
-    bench_group = parser.add_argument_group("bench (host-performance lab)")
-    bench_group.add_argument(
-        "--trials",
-        type=int,
-        default=5,
-        metavar="N",
-        help="timed trials per benchmark (default: 5)",
-    )
-    bench_group.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        metavar="N",
-        help="untimed warmup runs per benchmark (default: 1)",
-    )
-    bench_group.add_argument(
-        "--filter",
-        metavar="SUBSTR",
-        help="only run benchmarks whose name contains SUBSTR",
-    )
-    bench_group.add_argument(
+    explain_group.add_argument(
         "--out",
-        default=".",
-        metavar="DIR",
-        help="directory for the BENCH_<git-sha>.json history file "
-        "(default: current directory)",
-    )
-    bench_group.add_argument(
-        "--compare",
-        nargs="+",
-        metavar="FILE",
-        help="one file: run the suite, then compare against this baseline; "
-        "two files: compare OLD NEW without running anything. "
-        "Exits nonzero on a regression.",
-    )
-    bench_group.add_argument(
-        "--factor",
-        type=float,
         default=None,
-        metavar="F",
-        help="regression threshold: median beyond F x baseline AND outside "
-        "the baseline IQR (default: 2.0)",
+        metavar="DIR",
+        help="write explain.{json,md} (explain-diff.{json,md} with --diff) "
+        "into DIR (default: a run-dir target itself; nothing for --diff "
+        "or a cache entry)",
     )
     args = parser.parse_args(argv)
 
@@ -274,9 +236,6 @@ def main(argv=None):
             f"--run-retries must be >= 1 (1 disables retry), "
             f"got {args.run_retries}"
         )
-
-    if args.experiment == "bench":
-        return _run_bench(args)
 
     if args.experiment == "list":
         for name in registry.names():
@@ -304,16 +263,15 @@ def main(argv=None):
         from repro.experiments.explain import explain, explain_diff
 
         # Reports land beside the data: a run-dir target gets
-        # explain.{json,md} inside it; --out (the bench history flag)
-        # overrides, which is how CI collects them as artifacts.
-        out_override = args.out if args.out != "." else None
+        # explain.{json,md} inside it; --out overrides, which is how CI
+        # collects them as artifacts.
         try:
             if args.diff:
                 text, _ = explain_diff(
-                    args.diff[0], args.diff[1], out_dir=out_override
+                    args.diff[0], args.diff[1], out_dir=args.out
                 )
             elif args.target:
-                out_dir = out_override or (
+                out_dir = args.out or (
                     args.target if os.path.isdir(args.target) else None
                 )
                 text, _ = explain(args.target, out_dir=out_dir)
@@ -329,6 +287,14 @@ def main(argv=None):
             return 2
         print(text)
         return 0
+
+    if args.experiment != "all" and args.experiment not in registry.names():
+        print(
+            f"unknown experiment {args.experiment!r}; "
+            "run 'leviathan-repro list'",
+            file=sys.stderr,
+        )
+        return 2
 
     from repro.experiments.plotting import speedup_chart
 
@@ -369,10 +335,6 @@ def main(argv=None):
         error_text = None
         try:
             experiment = registry.run(name, pool=pool)
-        except KeyError:
-            # Unknown experiment name: a usage error, not a workload
-            # crash -- propagate as before.
-            raise
         except SweepInterrupted as exc:
             # Graceful drain already happened (manifest flushed and
             # fsynced); exit nonzero with the resume hint.
@@ -463,79 +425,6 @@ def main(argv=None):
     if failed:
         print(f"FAILED shape checks: {', '.join(failed)}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _run_bench(args):
-    """The ``bench`` subcommand: run, record, and/or compare benchmarks."""
-    from repro.perf import registry as bench_registry
-    from repro.perf.bench import render_results, run_benchmark
-    from repro.perf.compare import (
-        DEFAULT_FACTOR,
-        compare,
-        has_regression,
-        render_verdicts,
-    )
-    from repro.perf.history import bench_payload, load_history, write_history
-
-    factor = args.factor if args.factor is not None else DEFAULT_FACTOR
-    compare_paths = args.compare or []
-    if len(compare_paths) > 2:
-        print("usage: bench --compare BASELINE | --compare OLD NEW", file=sys.stderr)
-        return 2
-
-    if len(compare_paths) == 2:
-        # Pure file comparison: no benchmarks are executed.
-        old, new = (load_history(path) for path in compare_paths)
-        verdicts = compare(old, new, factor=factor)
-        print(render_verdicts(verdicts, factor=factor))
-        return 1 if has_regression(verdicts) else 0
-
-    benches = bench_registry.select(args.filter)
-    if not benches:
-        print(
-            f"no benchmarks match {args.filter!r}; "
-            f"known: {', '.join(bench_registry.names())}",
-            file=sys.stderr,
-        )
-        return 2
-
-    results = []
-    for bench in benches:
-        started = time.time()
-        result = run_benchmark(bench, trials=args.trials, warmup=args.warmup)
-        results.append(result)
-        print(
-            f"{bench.name}: median {result.median_s:.4f}s "
-            f"iqr {result.iqr_s:.4f}s "
-            f"{result.steps_per_sec:.0f} {result.unit}/s "
-            f"({time.time() - started:.1f}s total)"
-        )
-    print()
-    print(render_results(results))
-
-    payload = bench_payload(results, args.trials, args.warmup)
-    path = write_history(payload, out_dir=args.out)
-    print(f"wrote {path}")
-
-    if args.profile:
-        from repro.perf.profile import ProfileHarness
-
-        for bench in benches:
-            harness = ProfileHarness()
-            harness.run(bench.make())
-            outdir = harness.save(os.path.join(args.profile, bench.name))
-            print(f"profiled {bench.name} -> {outdir}")
-            if bench.kind == "macro":
-                print(harness.report.render(top=10))
-
-    if compare_paths:
-        baseline = load_history(compare_paths[0])
-        verdicts = compare(baseline, payload, factor=factor)
-        print()
-        print(render_verdicts(verdicts, factor=factor))
-        if has_regression(verdicts):
-            return 1
     return 0
 
 

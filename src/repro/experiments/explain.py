@@ -5,8 +5,9 @@ per-request-class critical-path waterfall -- every request cycle
 attributed to one taxonomy component (see
 :data:`~repro.sim.telemetry.critpath.COMPONENTS`) -- and, with
 ``--diff``, attributes the end-to-end latency delta between two runs
-to those components. This is the tool that converts a bench REGRESSION
-flag or a serve-* speedup number into a one-screen causal story.
+to those components. This is the tool that converts a figure's
+cycle-count change or a serve-* speedup number into a one-screen
+causal story.
 
 Three input shapes are accepted:
 

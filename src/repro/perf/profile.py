@@ -22,13 +22,17 @@ bit-identical to an unprofiled call (the simulator consults no clocks).
 import cProfile
 import json
 import os
+import platform
 import pstats
+import subprocess
 import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from repro.perf.fingerprint import fingerprint
+#: Repository root (three levels above src/repro/perf/).
+_REPO_ROOT = Path(__file__).resolve().parents[3]
 
 #: Module-prefix -> subsystem label, first match wins (order matters:
 #: specific prefixes before their parents).
@@ -229,6 +233,42 @@ def fold_stacks(counts):
 
 
 # ----------------------------------------------------------------------
+# provenance
+# ----------------------------------------------------------------------
+def _git(*args):
+    """One git query against the repo root; ``None`` when unavailable."""
+    try:
+        out = subprocess.run(
+            ["git", *args],
+            cwd=_REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if out.returncode != 0:
+        return None
+    return out.stdout.strip()
+
+
+def _fingerprint():
+    """Who/what/where stamp for ``profile.json``: git sha and dirty
+    flag, python version/implementation, platform and CPU count -- a
+    profile is only interpretable when you know what produced it."""
+    status = _git("status", "--porcelain")
+    return {
+        "git_sha": _git("rev-parse", "HEAD") or None,
+        "git_dirty": None if status is None else bool(status),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+# ----------------------------------------------------------------------
 # the harness
 # ----------------------------------------------------------------------
 class ProfileHarness:
@@ -268,7 +308,7 @@ class ProfileHarness:
         if self.report is None:
             raise RuntimeError("nothing profiled yet; call run() first")
         os.makedirs(outdir, exist_ok=True)
-        payload = {"fingerprint": fingerprint(), **self.report.to_dict()}
+        payload = {"fingerprint": _fingerprint(), **self.report.to_dict()}
         with open(os.path.join(outdir, "profile.json"), "w") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")

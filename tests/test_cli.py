@@ -21,9 +21,17 @@ class TestCli:
         assert "32.8" in out
         assert "[PASS]" in out
 
-    def test_unknown_experiment(self):
-        with pytest.raises(KeyError):
-            cli.main(["fig99"])
+    def test_unknown_experiment(self, capsys):
+        assert cli.main(["fig99"]) == 2  # usage error, not a traceback
+        assert (
+            "unknown experiment 'fig99'; run 'leviathan-repro list'"
+            in capsys.readouterr().err
+        )
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # Host-time measurement lives in perfbench/, not in the CLI.
+        assert cli.main(["bench"]) == 2
+        assert "unknown experiment 'bench'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("retries", ["0", "-1"])
     def test_bad_run_retries_is_a_usage_error(self, retries, capsys):

@@ -356,6 +356,26 @@ class TestExplainCli:
         assert code == 0
         assert "Latency attribution diff" in capsys.readouterr().out
 
+    def test_explain_diff_out_dot_writes_report(
+        self, kv_artifacts, tmp_path, monkeypatch, capsys
+    ):
+        """``--out .`` is a real directory, not "flag not given"."""
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(
+            [
+                "explain",
+                "--diff",
+                str(kv_artifacts["base_entry"]),
+                str(kv_artifacts["lev_entry"]),
+                "--out",
+                ".",
+            ]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "explain-diff.json").read_text())
+        assert report["classes"]
+        assert (tmp_path / "explain-diff.md").exists()
+
     def test_explain_without_target_is_usage_error(self, capsys):
         assert cli_main(["explain"]) == 2
 

@@ -65,13 +65,10 @@ class TestClassify:
 class TestAttribution:
     @pytest.fixture(scope="class")
     def fig18_harness(self):
-        from repro.perf.registry import FIG18_TILES
         from repro.workloads import hashtable
 
         harness = ProfileHarness()
-        harness.run(
-            hashtable.run_leviathan, dict(SMALL_FIG18), n_tiles=FIG18_TILES
-        )
+        harness.run(hashtable.run_leviathan, dict(SMALL_FIG18), n_tiles=16)
         return harness
 
     def test_subsystems_sum_to_total_within_5_percent(self, fig18_harness):

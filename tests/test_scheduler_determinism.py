@@ -180,11 +180,14 @@ class TestMacroEquivalence:
     """A real runtime workload (parks, wakes, invokes) in both modes."""
 
     def test_fig18_identical_across_modes(self, monkeypatch):
-        from repro.perf.registry import FIG18_PARAMS
         from repro.workloads.hashtable import run_leviathan
 
-        small = dict(FIG18_PARAMS)
-        small.update(n_buckets=16, nodes_per_bucket=8, n_threads=4, lookups_per_thread=8)
+        small = {
+            "n_buckets": 16,
+            "nodes_per_bucket": 8,
+            "n_threads": 4,
+            "lookups_per_thread": 8,
+        }
 
         results = {}
         for mode in ("runlist", "heap"):
