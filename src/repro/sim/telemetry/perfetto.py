@@ -22,6 +22,11 @@ import json
 #: Synthetic pid for spans/counters not anchored to a tile.
 MACHINE_PID = 4095
 
+#: Trace events per ``json.dumps`` call in :func:`write_chrome_trace`:
+#: enough to amortize the call, few enough that the encoder's scratch
+#: fragments stay small next to the trace (larger chunks raise peak RSS).
+WRITE_CHUNK = 32
+
 
 def _span_events(span, uid):
     """The b/e event list for one span (parent first, phases inside)."""
@@ -116,10 +121,25 @@ def chrome_trace(spans, metrics=None, meta=None, tile_of_label=("tile", "bank"),
 
 
 def write_chrome_trace(path, spans, metrics=None, meta=None, extra_events=None):
-    """Serialize :func:`chrome_trace` to ``path``; returns the path."""
+    """Serialize :func:`chrome_trace` to ``path``; returns the path.
+
+    The file holds exactly ``json.dumps(chrome_trace(...))``, written in
+    pieces: each chunk of :data:`WRITE_CHUNK` events goes through
+    ``json.dumps``, which uses the C encoder (``json.dump`` never does),
+    and the whole document never exists as one string.
+    """
     trace = chrome_trace(spans, metrics=metrics, meta=meta, extra_events=extra_events)
+    events = trace.pop("traceEvents")
     with open(path, "w") as handle:
-        json.dump(trace, handle)
+        handle.write('{"traceEvents": [')
+        for start in range(0, len(events), WRITE_CHUNK):
+            if start:
+                handle.write(", ")
+            handle.write(json.dumps(events[start : start + WRITE_CHUNK])[1:-1])
+        handle.write("]")
+        for key, value in trace.items():
+            handle.write(f", {json.dumps(key)}: {json.dumps(value)}")
+        handle.write("}")
     return path
 
 

@@ -44,13 +44,99 @@ from repro.sim.telemetry.perfetto import chrome_trace, write_chrome_trace
 from repro.sim.telemetry.requests import RequestTracker
 
 
+#: HELP text of the families whose handlers register one (the registry
+#: keeps the HELP a family is first registered with).
+_HELP = {
+    "invoke.latency": "invoke issue to completion (incl. future fill), cycles",
+    "invoke.buffer_wait": "cycles stalled on a full invoke buffer",
+    "invoke.retry_backoff": "backoff cycles before each re-send",
+    "invoke_buffer.occupancy": "in-flight (un-ACKed) invokes per core buffer",
+    "engine.task_contexts": "busy offload task contexts + spill-queued tasks",
+    "faults.extra_cycles": "latency added on the victim path per injection",
+    "stream.occupancy": "circular-buffer entries outstanding",
+    "stream.entry_latency": "push to pop, cycles",
+    "llc.bank_pressure": "LLC bank lookups per window",
+    "noc.utilization": "flit-hops per window",
+}
+
+#: Invoke-span phase -> the histogram of its per-span cycles.
+_PHASE_HISTOGRAMS = (
+    ("execute", "invoke.execute_cycles"),
+    ("nack-wait", "invoke.nack_wait"),
+    ("buffer-wait", "invoke.buffer_wait_observed"),
+    ("future-wait", "invoke.future_wait"),
+)
+
+
+class _Handles(dict):
+    """Metric handles keyed by label value (or name), bound on first use.
+
+    ``handles[key]`` calls ``bind(key)`` -- a registry get-or-create --
+    the first time ``key`` is seen and returns the cached metric after
+    that, so hot handlers skip the registry's label-key sort. Binding
+    lazily (not at subscribe time) means a series exists exactly when
+    an event touched it, as with a plain registry call per event.
+    """
+
+    __slots__ = ("bind",)
+
+    def __init__(self, bind):
+        super().__init__()
+        self.bind = bind
+
+    def __missing__(self, key):
+        metric = self[key] = self.bind(key)
+        return metric
+
+
 class Telemetry(RequestTracker):
     """Metrics + spans + attribution for one machine, fed by its event bus."""
 
     def __init__(self, machine, label=None, window=1024, max_spans=200_000):
         self.label = label
         self.metrics = MetricsRegistry(default_window=window)
+        m = self.metrics
+        family = self._family
+        # Unlabeled metrics, keyed by name.
+        self._counter = _Handles(m.counter)
+        self._histogram = _Handles(
+            lambda name: m.histogram(name, help=_HELP.get(name, ""))
+        )
+        # Labeled metrics, keyed by label value.
+        self._dispatched = family("counter", "invoke.dispatched", "location")
+        self._buffer_occupancy = family("timeseries", "invoke_buffer.occupancy", "tile")
+        self._arrivals = family("counter", "engine.arrivals", "outcome")
+        self._task_contexts = family("timeseries", "engine.task_contexts", "tile")
+        self._faults = family("counter", "faults.injected", "kind")
+        self._fault_cycles = family("histogram", "faults.extra_cycles", "kind")
+        self._degraded = family("counter", "faults.degraded", "kind")
+        self._pushes = family("counter", "stream.pushes", "stream")
+        self._pops = family("counter", "stream.pops", "stream")
+        self._occupancy = family("timeseries", "stream.occupancy", "stream")
+        self._blocked = _Handles(
+            lambda key: m.counter(
+                "stream.blocked", labels={"stream": key[0], "side": key[1]}
+            )
+        )
+        self._entry_latency = family("histogram", "stream.entry_latency", "stream")
+        self._block_cycles = family("histogram", "stream.block_cycles", "side")
+        self._bank_accesses = family("counter", "llc.bank_accesses", "bank")
+        self._bank_misses = family("counter", "llc.bank_misses", "bank")
+        self._bank_pressure = family(
+            "timeseries", "llc.bank_pressure", "bank", mode="sum"
+        )
+        self._request_latency = family("histogram", "mem.request_latency", "by")
+        # (src, dst) -> the handles one NoC message updates.
+        self._routes = _Handles(self._bind_route)
         super().__init__(machine, max_spans=max_spans)
+
+    def _family(self, kind, name, label, **kwargs):
+        """Handles for one labeled family, keyed by the ``label`` value."""
+        make = getattr(self.metrics, kind)
+        help = _HELP.get(name, "")
+        return _Handles(
+            lambda value: make(name, labels={label: value}, help=help, **kwargs)
+        )
 
     def _subscriptions(self):
         return super()._subscriptions() + (
@@ -66,131 +152,98 @@ class Telemetry(RequestTracker):
     # handlers: offload lifecycle
     # ------------------------------------------------------------------
     def _on_invoke_dispatched(self, ev):
-        self.metrics.counter(
-            "invoke.dispatched", labels={"location": ev.location}
-        ).inc()
+        self._dispatched[ev.location].inc()
         if ev.inline:
-            self.metrics.counter("invoke.inline").inc()
+            self._counter["invoke.inline"].inc()
         runtime = self.machine.leviathan
         if runtime is not None:
             buffer = runtime.invoke_buffers[ev.tile]
-            self.metrics.timeseries(
-                "invoke_buffer.occupancy",
-                labels={"tile": ev.tile},
-                help="in-flight (un-ACKed) invokes per core buffer",
-            ).record(ev.time, buffer.in_flight)
+            self._buffer_occupancy[ev.tile].record(ev.time, buffer.in_flight)
         super()._on_invoke_dispatched(ev)
 
     def _on_invoke_stalled(self, ev):
-        self.metrics.counter("invoke.stall_events").inc()
+        self._counter["invoke.stall_events"].inc()
         if ev.wait is not None:
-            self.metrics.histogram(
-                "invoke.buffer_wait", help="cycles stalled on a full invoke buffer"
-            ).observe(ev.wait)
+            self._histogram["invoke.buffer_wait"].observe(ev.wait)
         super()._on_invoke_stalled(ev)
 
     def _on_engine_task(self, ev):
-        outcome = "accepted" if ev.accepted else "nacked"
-        self.metrics.counter("engine.arrivals", labels={"outcome": outcome}).inc()
+        self._arrivals["accepted" if ev.accepted else "nacked"].inc()
         engines = self.machine.engines
         if engines is not None:
             engine = engines[ev.tile]
             t = ev.time if ev.time is not None else self.machine.now
-            self.metrics.timeseries(
-                "engine.task_contexts",
-                labels={"tile": ev.tile},
-                help="busy offload task contexts + spill-queued tasks",
-            ).record(t, engine.busy_offload + engine.queued_tasks)
+            self._task_contexts[ev.tile].record(
+                t, engine.busy_offload + engine.queued_tasks
+            )
         super()._on_engine_task(ev)
 
     def _on_future_filled(self, ev):
-        self.metrics.counter("future.fills").inc()
+        self._counter["future.fills"].inc()
         super()._on_future_filled(ev)
 
     def _span_closed(self, span):
         if span.cat == "invoke":
-            self.metrics.histogram(
-                "invoke.latency",
-                help="invoke issue to completion (incl. future fill), cycles",
-            ).observe(span.duration)
-            for phase, metric in (
-                ("execute", "invoke.execute_cycles"),
-                ("nack-wait", "invoke.nack_wait"),
-                ("buffer-wait", "invoke.buffer_wait_observed"),
-                ("future-wait", "invoke.future_wait"),
-            ):
-                cycles = span.phase_cycles(phase)
-                if cycles:
-                    self.metrics.histogram(metric).observe(cycles)
+            self._histogram["invoke.latency"].observe(span.duration)
+            # One pass over the phases; each total is still a plain
+            # sum() of the same cycles in the same order.
+            cycles = {}
+            for name, start, end in span.phases:
+                if end is not None:
+                    cycles.setdefault(name, []).append(end - start)
+            for phase, metric in _PHASE_HISTOGRAMS:
+                total = sum(cycles.get(phase, ()))
+                if total:
+                    self._histogram[metric].observe(total)
             if span.args.get("nacks"):
-                self.metrics.counter("invoke.nacked_spans").inc()
+                self._counter["invoke.nacked_spans"].inc()
         elif span.cat == "stream":
-            self.metrics.histogram(
-                "stream.entry_latency",
-                labels={"stream": span.name.split("[", 1)[0]},
-                help="push to pop, cycles",
-            ).observe(span.duration)
+            self._entry_latency[span.name.split("[", 1)[0]].observe(span.duration)
         elif span.cat == "stream-wait":
-            self.metrics.histogram(
-                "stream.block_cycles", labels={"side": span.args.get("side", "?")}
-            ).observe(span.duration)
+            self._block_cycles[span.args.get("side", "?")].observe(span.duration)
         super()._span_closed(span)
 
     # ------------------------------------------------------------------
     # handlers: resilience (fault injection, retries, degradation)
     # ------------------------------------------------------------------
     def _on_fault_injected(self, ev):
-        self.metrics.counter("faults.injected", labels={"kind": ev.kind}).inc()
+        self._faults[ev.kind].inc()
         if ev.extra_cycles:
-            self.metrics.histogram(
-                "faults.extra_cycles",
-                labels={"kind": ev.kind},
-                help="latency added on the victim path per injection",
-            ).observe(ev.extra_cycles)
+            self._fault_cycles[ev.kind].observe(ev.extra_cycles)
 
     def _on_engine_failed(self, ev):
-        self.metrics.counter("faults.engine_failures").inc()
+        self._counter["faults.engine_failures"].inc()
 
     def _on_invoke_retried(self, ev):
-        self.metrics.counter("invoke.retries_observed").inc()
-        self.metrics.histogram(
-            "invoke.retry_backoff", help="backoff cycles before each re-send"
-        ).observe(ev.backoff)
+        self._counter["invoke.retries_observed"].inc()
+        self._histogram["invoke.retry_backoff"].observe(ev.backoff)
         super()._on_invoke_retried(ev)
 
     def _on_degraded(self, ev):
-        self.metrics.counter("faults.degraded", labels={"kind": ev.kind}).inc()
+        self._degraded[ev.kind].inc()
         super()._on_degraded(ev)
 
     def _on_watchdog_fired(self, ev):
-        self.metrics.counter("watchdog.fired").inc()
+        self._counter["watchdog.fired"].inc()
         self.metrics.gauge("watchdog.parked_at_fire").set(ev.parked)
 
     # ------------------------------------------------------------------
     # handlers: streaming
     # ------------------------------------------------------------------
     def _on_stream_push(self, ev):
-        self.metrics.counter("stream.pushes", labels={"stream": ev.stream}).inc()
+        self._pushes[ev.stream].inc()
         if ev.time is not None:
-            self.metrics.timeseries(
-                "stream.occupancy",
-                labels={"stream": ev.stream},
-                help="circular-buffer entries outstanding",
-            ).record(ev.time, ev.occupancy)
+            self._occupancy[ev.stream].record(ev.time, ev.occupancy)
         super()._on_stream_push(ev)
 
     def _on_stream_pop(self, ev):
-        self.metrics.counter("stream.pops", labels={"stream": ev.stream}).inc()
+        self._pops[ev.stream].inc()
         if ev.time is not None:
-            self.metrics.timeseries(
-                "stream.occupancy", labels={"stream": ev.stream}
-            ).record(ev.time, ev.occupancy)
+            self._occupancy[ev.stream].record(ev.time, ev.occupancy)
         super()._on_stream_pop(ev)
 
     def _on_stream_blocked(self, ev):
-        self.metrics.counter(
-            "stream.blocked", labels={"stream": ev.stream, "side": ev.side}
-        ).inc()
+        self._blocked[ev.stream, ev.side].inc()
         super()._on_stream_blocked(ev)
 
     # ------------------------------------------------------------------
@@ -199,30 +252,38 @@ class Telemetry(RequestTracker):
     def _on_cache_access(self, ev):
         if ev.level != "llc":
             return
-        self.metrics.counter("llc.bank_accesses", labels={"bank": ev.tile}).inc()
+        bank = ev.tile
+        self._bank_accesses[bank].inc()
         if not ev.hit:
-            self.metrics.counter("llc.bank_misses", labels={"bank": ev.tile}).inc()
-        self.metrics.timeseries(
-            "llc.bank_pressure",
-            labels={"bank": ev.tile},
-            mode="sum",
-            help="LLC bank lookups per window",
-        ).record(self.machine.sim_time(), 1)
+            self._bank_misses[bank].inc()
+        self._bank_pressure[bank].record(self.machine.sim_time(), 1)
 
     def _on_flit_hop(self, ev):
-        flit_hops = ev.flits * ev.hops
-        self.metrics.counter("noc.flits").inc(ev.flits)
-        self.metrics.counter("noc.flit_hops").inc(flit_hops)
-        t = self.machine.sim_time()
-        self.metrics.timeseries(
-            "noc.utilization", mode="sum", help="flit-hops per window"
-        ).record(t, flit_hops)
-        if ev.hops:
-            noc = self.machine.hierarchy.noc
-            for src, dst in self._xy_links(noc, ev.src, ev.dst):
-                self.metrics.counter(
-                    "noc.link_flits", labels={"link": f"{src}>{dst}"}
-                ).inc(ev.flits)
+        flits_total, flit_hops_total, utilization, links = self._routes[ev.src, ev.dst]
+        flits = ev.flits
+        flit_hops = flits * ev.hops
+        flits_total.inc(flits)
+        flit_hops_total.inc(flit_hops)
+        utilization.record(self.machine.sim_time(), flit_hops)
+        for link in links:
+            link.inc(flits)
+
+    def _bind_route(self, route):
+        """The handles a ``src -> dst`` message updates, bound on first use:
+        the NoC totals, the utilization track, and one ``noc.link_flits``
+        counter per directed link on the message's XY route."""
+        src, dst = route
+        m = self.metrics
+        totals = (
+            m.counter("noc.flits"),
+            m.counter("noc.flit_hops"),
+            m.timeseries("noc.utilization", mode="sum", help=_HELP["noc.utilization"]),
+        )
+        links = tuple(
+            m.counter("noc.link_flits", labels={"link": f"{a}>{b}"})
+            for a, b in self._xy_links(self.machine.hierarchy.noc, src, dst)
+        )
+        return totals + (links,)
 
     @staticmethod
     def _xy_links(noc, src, dst):
@@ -242,15 +303,14 @@ class Telemetry(RequestTracker):
             at = nxt
 
     def _on_dram_access(self, ev):
-        self.metrics.counter("dram.accesses").inc()
+        self._counter["dram.accesses"].inc()
         if ev.fifo_hit:
-            self.metrics.counter("dram.fifo_hits").inc()
+            self._counter["dram.fifo_hits"].inc()
 
     def _on_memory_access(self, ev):
-        who = "engine" if ev.engine else "core"
-        self.metrics.histogram(
-            "mem.request_latency", labels={"by": who}
-        ).observe(ev.result.latency)
+        self._request_latency["engine" if ev.engine else "core"].observe(
+            ev.result.latency
+        )
         super()._on_memory_access(ev)
 
     # ------------------------------------------------------------------

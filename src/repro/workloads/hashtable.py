@@ -335,25 +335,6 @@ def _verify(table, results):
         raise AssertionError("hash-table lookups returned wrong values")
 
 
-def run_size_study(params=None, n_tiles=16, sizes=(24, 64, 128)):
-    """Fig. 18: one StudyResult per object size."""
-    studies = {}
-    for size in sizes:
-        p = dict(params or {})
-        p["object_size"] = size
-        study = StudyResult(
-            study=f"Hash table {size}B (Fig. 18)", baseline="baseline", params=p
-        )
-        study.add(run_baseline(p, n_tiles=n_tiles))
-        study.add(run_leviathan(p, n_tiles=n_tiles))
-        if size == 24:
-            study.add(run_no_padding(p, n_tiles=n_tiles))
-        if size == 128:
-            study.add(run_no_llc_mapping(p, n_tiles=n_tiles))
-        studies[size] = study
-    return studies
-
-
 def run_all(params=None, n_tiles=16):
     """The headline (64 B) configuration with every variant."""
     study = StudyResult(

@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.sim.telemetry.metrics import MetricsRegistry
 from repro.sim.telemetry.perfetto import (
     MACHINE_PID,
+    WRITE_CHUNK,
     chrome_trace,
     load_and_validate,
     validate_chrome_trace,
@@ -145,3 +148,48 @@ class TestValidation:
         assert trace["otherData"]["run"] == "unit"
         # Plain JSON all the way down (Perfetto requires it).
         json.dumps(trace)
+
+
+def _registry_with_track():
+    reg = MetricsRegistry(default_window=100)
+    reg.timeseries("occupancy", labels={"tile": 1}).record(50, 2)
+    reg.counter("hits").inc(3)
+    return reg
+
+
+class TestStreamedWriter:
+    """``write_chrome_trace`` writes exactly ``json.dumps(chrome_trace(...))``."""
+
+    CASES = {
+        "no-spans": lambda: dict(spans=[], metrics=_registry_with_track()),
+        "no-metrics": lambda: dict(spans=[make_span(phases=[("execute", 120, 380)])]),
+        "empty": lambda: dict(spans=[]),
+        "extra-events": lambda: dict(
+            spans=[make_span()],
+            metrics=_registry_with_track(),
+            extra_events=[
+                {"ph": "s", "name": "flow", "cat": "critpath", "id": 7, "pid": 2, "ts": 150},
+                {"ph": "f", "name": "flow", "cat": "critpath", "id": 7, "ts": 300},
+            ],
+        ),
+        "non-ascii-meta": lambda: dict(
+            spans=[make_span(name="invoke:grüße")],
+            meta={"label": "maschine-ü ✓", "note": "tab\there \"quoted\""},
+        ),
+        "several-chunks": lambda: dict(
+            spans=[
+                make_span(cid=i, pid=i % 4, start=10 * i, end=10 * i + 5)
+                for i in range(WRITE_CHUNK)
+            ],
+            metrics=_registry_with_track(),
+            meta={"label": "big"},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes_equal_json_dumps(self, case, tmp_path):
+        kwargs = self.CASES[case]()
+        path = tmp_path / "trace.json"
+        write_chrome_trace(str(path), **kwargs)
+        expected = json.dumps(chrome_trace(**kwargs))
+        assert path.read_bytes() == expected.encode("ascii")
