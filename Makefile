@@ -11,7 +11,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest -q benchmarks/test_sim_speed.py perfbench
 
 experiments:
 	$(PYTHON) -m repro.experiments all

@@ -10,16 +10,16 @@ headline figures, but each grounded in a specific claim in the text).
 
 Each ablation point is a module-level function so it can be named in a
 :class:`~repro.experiments.pool.RunSpec` (``repro.experiments.ablations:
-mc_cache_point``) and executed in a pool worker process; the ``run_*``
-entry points only enumerate specs and shape the pooled results into
-:class:`~repro.experiments.runner.Experiment` rows.
+mc_cache_point``) and executed in a pool worker process; each
+``plan_*`` enumerates specs beside a render that shapes the executed
+results into :class:`~repro.experiments.runner.Experiment` rows.
 """
 
 from repro.core.actor import Actor, action
 from repro.core.offload import Invoke, Location
 from repro.core.runtime import Leviathan
-from repro.experiments.pool import RunSpec, default_pool, run_study
-from repro.experiments.runner import Experiment
+from repro.experiments.pool import RunSpec
+from repro.experiments.runner import Experiment, Plan, run_study
 from repro.sim.config import small_config
 from repro.sim.ops import Compute, Load
 from repro.sim.system import Machine
@@ -53,39 +53,41 @@ def mc_cache_point(fifo_lines):
     return finish_run(machine, f"fifo-{fifo_lines}")
 
 
-def run_mc_cache(fifo_sizes=(0, 8, 32, 128), pool=None):
+def plan_mc_cache(fifo_sizes=(0, 8, 32, 128)):
     """Sweep the MC FIFO cache on a compacted sequential scan."""
-    pool = pool or default_pool()
-    exp = Experiment(
-        name="Memory-controller FIFO cache",
-        paper_reference="Sec. VI-A3",
-        notes="Paper: the 32-line FIFO cache cuts DRAM accesses by up to ~3x.",
-    )
     specs = [
         RunSpec(_SELF + "mc_cache_point", {"fifo_lines": fifo}, f"mc_cache/fifo{fifo}")
         for fifo in fifo_sizes
     ]
-    dram = {}
-    for fifo, result in zip(fifo_sizes, pool.run_results(specs)):
-        dram[fifo] = result.stat("dram.accesses")
-        exp.add_row(
-            fifo_lines=fifo,
-            dram_accesses=dram[fifo],
-            mc_hits=result.stat("mc_cache.hits"),
+
+    def render(results):
+        exp = Experiment(
+            name="Memory-controller FIFO cache",
+            paper_reference="Sec. VI-A3",
+            notes="Paper: the 32-line FIFO cache cuts DRAM accesses by up to ~3x.",
         )
-    exp.expect(
-        "the 32-line FIFO cuts DRAM accesses vs. no FIFO",
-        "greater",
-        dram[0] / dram[32],
-        1.3,
-    )
-    exp.expect(
-        "bigger FIFOs do not help sequential scans much more",
-        "less",
-        dram[32] / max(1, dram[max(fifo_sizes)]),
-        1.2,
-    )
-    return exp
+        dram = {}
+        for fifo, result in zip(fifo_sizes, results):
+            dram[fifo] = result.stat("dram.accesses")
+            exp.add_row(
+                fifo_lines=fifo,
+                dram_accesses=dram[fifo],
+                mc_hits=result.stat("mc_cache.hits"),
+            )
+        exp.expect(
+            "the 32-line FIFO cuts DRAM accesses vs. no FIFO",
+            "greater",
+            dram[0] / dram[32],
+            1.3,
+        )
+        exp.expect(
+            "bigger FIFOs do not help sequential scans much more",
+            "less",
+            dram[32] / max(1, dram[max(fifo_sizes)]),
+            1.2,
+        )
+        return exp
+    return Plan(specs, render)
 
 
 class _HotActor(Actor):
@@ -138,50 +140,52 @@ def migration_point(period):
     return finish_run(machine, f"migration-{period}")
 
 
-def run_migration(periods=(0, 32), pool=None):
+def plan_migration(periods=(0, 32)):
     """DYNAMIC-task migration: hot actors migrate toward the invoker."""
-    pool = pool or default_pool()
-    exp = Experiment(
-        name="DYNAMIC-task migration",
-        paper_reference="Sec. VI-B1",
-        notes="Paper: 1/32 of remote DYNAMIC tasks execute locally to pull data up.",
-    )
     specs = [
         RunSpec(
             _SELF + "migration_point", {"period": period}, f"migration/period{period}"
         )
         for period in periods
     ]
-    local_counts = {}
-    cycles = {}
-    for period, result in zip(periods, pool.run_results(specs)):
-        label = "off" if period == 0 else str(period)
-        local_counts[period] = result.stat("invoke.inline_at_core") + result.stat(
-            "invoke.local_engine"
+
+    def render(results):
+        exp = Experiment(
+            name="DYNAMIC-task migration",
+            paper_reference="Sec. VI-B1",
+            notes="Paper: 1/32 of remote DYNAMIC tasks execute locally to pull data up.",
         )
-        cycles[period] = result.cycles
-        exp.add_row(
-            migration_period=label,
-            local_executions=local_counts[period],
-            migrations=result.stat("invoke.migrations"),
-            cycles=cycles[period],
+        local_counts = {}
+        cycles = {}
+        for period, result in zip(periods, results):
+            label = "off" if period == 0 else str(period)
+            local_counts[period] = result.stat("invoke.inline_at_core") + result.stat(
+                "invoke.local_engine"
+            )
+            cycles[period] = result.cycles
+            exp.add_row(
+                migration_period=label,
+                local_executions=local_counts[period],
+                migrations=result.stat("invoke.migrations"),
+                cycles=cycles[period],
+            )
+        exp.expect(
+            "migration produces local executions of a hot actor",
+            "greater",
+            local_counts[32] - local_counts[0],
+            100,
         )
-    exp.expect(
-        "migration produces local executions of a hot actor",
-        "greater",
-        local_counts[32] - local_counts[0],
-        100,
-    )
-    exp.expect(
-        "migration speeds up the synchronous hot-actor pattern",
-        "less",
-        cycles[32] / cycles[0],
-        1.0,
-    )
-    return exp
+        exp.expect(
+            "migration speeds up the synchronous hot-actor pattern",
+            "less",
+            cycles[32] / cycles[0],
+            1.0,
+        )
+        return exp
+    return Plan(specs, render)
 
 
-def run_near_memory(bucket_multiplier=16, pool=None):
+def plan_near_memory(bucket_multiplier=16):
     """Near-memory engines on a beyond-LLC hash table (Sec. IX).
 
     Fig. 24 shows Leviathan's speedup eroding once the table outgrows
@@ -191,15 +195,6 @@ def run_near_memory(bucket_multiplier=16, pool=None):
     """
     import repro.workloads.hashtable as ht_module
 
-    pool = pool or default_pool()
-    exp = Experiment(
-        name="Near-memory engines (extension)",
-        paper_reference="Sec. IX (future work)",
-        notes=(
-            "Paper: 'future work on incorporating near-memory engines can "
-            "further improve performance for non-cache-fitting workloads'."
-        ),
-    )
     params = dict(
         n_buckets=64 * bucket_multiplier,
         nodes_per_bucket=32,
@@ -225,34 +220,43 @@ def run_near_memory(bucket_multiplier=16, pool=None):
         specs.append(
             RunSpec(_HT + "run_leviathan", kwargs, f"near_memory/{tag}/leviathan")
         )
-    results = pool.run_results(specs)
 
-    speedups = {}
-    for i, near_memory in enumerate((False, True)):
-        base, lev = results[2 * i], results[2 * i + 1]
-        speedups[near_memory] = lev.speedup_over(base)
-        exp.add_row(
-            near_memory_engines="on" if near_memory else "off",
-            speedup=speedups[near_memory],
-            near_memory_placements=lev.stat("invoke.near_memory"),
-            dram_accesses=lev.stat("dram.accesses"),
+    def render(results):
+        exp = Experiment(
+            name="Near-memory engines (extension)",
+            paper_reference="Sec. IX (future work)",
+            notes=(
+                "Paper: 'future work on incorporating near-memory engines can "
+                "further improve performance for non-cache-fitting workloads'."
+            ),
         )
-    exp.expect(
-        "near-memory engines help a spilled table",
-        "greater",
-        speedups[True] - speedups[False],
-        0.0,
-    )
-    exp.expect(
-        "near-memory placement actually used",
-        "greater",
-        exp.rows[1]["near_memory_placements"],
-        0,
-    )
-    return exp
+        speedups = {}
+        for i, near_memory in enumerate((False, True)):
+            base, lev = results[2 * i], results[2 * i + 1]
+            speedups[near_memory] = lev.speedup_over(base)
+            exp.add_row(
+                near_memory_engines="on" if near_memory else "off",
+                speedup=speedups[near_memory],
+                near_memory_placements=lev.stat("invoke.near_memory"),
+                dram_accesses=lev.stat("dram.accesses"),
+            )
+        exp.expect(
+            "near-memory engines help a spilled table",
+            "greater",
+            speedups[True] - speedups[False],
+            0.0,
+        )
+        exp.expect(
+            "near-memory placement actually used",
+            "greater",
+            exp.rows[1]["near_memory_placements"],
+            0,
+        )
+        return exp
+    return Plan(specs, render)
 
 
-def run_components(pool=None):
+def plan_components():
     """PHI generality: commutative ``min`` instead of ``add`` (Sec. IV).
 
     Connected components by synchronous min-label propagation, on the
@@ -263,31 +267,28 @@ def run_components(pool=None):
     while Leviathan applies candidates at eviction time (PHI's actual
     mechanism), so the factor here is larger than Fig. 5's.
     """
-    pool = pool or default_pool()
     specs = [
         RunSpec(_COMPONENTS + "run_baseline", {}, "components/baseline"),
         RunSpec(_COMPONENTS + "run_leviathan", {}, "components/leviathan"),
     ]
-    study = run_study(
-        pool,
-        "Connected components (PHI generality)",
-        "baseline",
-        specs,
-    )
-    exp = Experiment(
-        name="Connected components (PHI generality)",
-        paper_reference="Sec. IV (generality claim)",
-        notes="Same machinery as Fig. 5 with min-combining; labels oracle-checked.",
-    )
-    speedups = study.speedups()
-    for name, result in study.results.items():
-        exp.add_row(
-            variant=name,
-            speedup=speedups[name],
-            energy_savings_pct=study.energy_savings()[name] * 100,
+
+    def render(results):
+        study = run_study("Connected components (PHI generality)", "baseline", results)
+        exp = Experiment(
+            name="Connected components (PHI generality)",
+            paper_reference="Sec. IV (generality claim)",
+            notes="Same machinery as Fig. 5 with min-combining; labels oracle-checked.",
         )
-    exp.expect("Leviathan wins with min-combining", "greater", speedups["leviathan"], 1.5)
-    return exp
+        speedups = study.speedups()
+        for name, result in study.results.items():
+            exp.add_row(
+                variant=name,
+                speedup=speedups[name],
+                energy_savings_pct=study.energy_savings()[name] * 100,
+            )
+        exp.expect("Leviathan wins with min-combining", "greater", speedups["leviathan"], 1.5)
+        return exp
+    return Plan(specs, render)
 
 
 def compaction_point(compaction):
@@ -304,14 +305,8 @@ def compaction_point(compaction):
     }
 
 
-def run_compaction(pool=None):
+def plan_compaction():
     """DRAM fragmentation with and without compaction (Sec. VIII-B)."""
-    pool = pool or default_pool()
-    exp = Experiment(
-        name="DRAM object compaction",
-        paper_reference="Sec. V-A3 / VIII-B",
-        notes="Paper: padding 24 B nodes to 32 B would waste 25% of DRAM.",
-    )
     specs = [
         RunSpec(
             _SELF + "compaction_point",
@@ -320,20 +315,28 @@ def run_compaction(pool=None):
         )
         for compaction in (True, False)
     ]
-    fragmentations = {}
-    for point in pool.run_results(specs):
-        fragmentations[point["compaction"]] = point["fragmentation"]
-        exp.add_row(
-            compaction="on" if point["compaction"] else "off",
-            dram_bytes_per_object=point["dram_bytes_per_object"],
-            fragmentation_pct=point["fragmentation"] * 100,
+
+    def render(results):
+        exp = Experiment(
+            name="DRAM object compaction",
+            paper_reference="Sec. V-A3 / VIII-B",
+            notes="Paper: padding 24 B nodes to 32 B would waste 25% of DRAM.",
         )
-    exp.expect("no fragmentation with compaction", "less", fragmentations[True], 1e-9)
-    exp.expect(
-        "25% fragmentation without compaction",
-        "between",
-        fragmentations[False],
-        0.24,
-        0.26,
-    )
-    return exp
+        fragmentations = {}
+        for point in results:
+            fragmentations[point["compaction"]] = point["fragmentation"]
+            exp.add_row(
+                compaction="on" if point["compaction"] else "off",
+                dram_bytes_per_object=point["dram_bytes_per_object"],
+                fragmentation_pct=point["fragmentation"] * 100,
+            )
+        exp.expect("no fragmentation with compaction", "less", fragmentations[True], 1e-9)
+        exp.expect(
+            "25% fragmentation without compaction",
+            "between",
+            fragmentations[False],
+            0.24,
+            0.26,
+        )
+        return exp
+    return Plan(specs, render)

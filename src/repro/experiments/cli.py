@@ -3,8 +3,17 @@
 ``leviathan-repro list`` shows every registered experiment;
 ``leviathan-repro all`` regenerates every table and figure.
 
-Simulation runs execute on an :class:`~repro.experiments.pool.
-ExperimentPool`: ``--jobs N`` fans independent runs out over worker
+Each registered experiment is a :class:`~repro.experiments.runner.Plan`
+(RunSpecs plus a pure render). An invocation plans the requested
+experiments, submits the union of their specs to one
+:class:`~repro.experiments.pool.ExperimentPool` call (a spec shared by
+two experiments runs once), prints one sweep summary, then renders
+each experiment from its own results; an experiment with a failed run
+is reported ``CRASHED`` while the others still render. The ``(N.Ns)``
+line under a report is the summed host time of its runs (as recorded
+when they executed, also for cached ones).
+
+``--jobs N`` fans independent runs out over worker
 processes (default: one per CPU), results are content-hash cached
 under ``--cache-dir`` (default ``results-cache/``, or
 ``$LEVIATHAN_CACHE_DIR``), ``--resume`` replays a sweep's completed
@@ -50,48 +59,47 @@ import argparse
 import json
 import os
 import sys
-import time
 import traceback
 
 from repro.experiments import registry
 from repro.experiments import ablations, figures, sensitivity, serving, tables
-from repro.experiments.pool import ExperimentPool, SweepInterrupted
+from repro.experiments.pool import ExperimentPool, SweepInterrupted, decode_outcomes
 from repro.experiments.retry import RetryPolicy
 
 _EXPERIMENTS = {
-    "table1": (tables.run_table1, "Table I: NDC taxonomy"),
-    "table2": (tables.run_table2, "Table II: actions per paradigm"),
-    "table3": (tables.run_table3, "Table III: per-paradigm microarchitecture"),
-    "table4": (tables.run_table4, "Table IV: hardware overhead"),
-    "table5": (tables.run_table5, "Table V: system parameters"),
-    "fig5": (figures.run_fig5, "Fig. 5: PHI / commutative scatter-updates"),
-    "fig16": (figures.run_fig16, "Fig. 16: near-cache decompression"),
-    "fig18": (figures.run_fig18, "Fig. 18: hash-table lookups"),
-    "fig20": (figures.run_fig20, "Fig. 20: HATS decoupled traversal"),
-    "fig21": (figures.run_fig21, "Fig. 21: HATS breakdown"),
-    "fig22": (sensitivity.run_fig22, "Fig. 22: invoke-buffer sensitivity"),
-    "fig23": (sensitivity.run_fig23, "Fig. 23: stream-buffer sensitivity"),
-    "fig24": (sensitivity.run_fig24, "Fig. 24: input-size sensitivity"),
-    "fig25": (sensitivity.run_fig25, "Fig. 25: system-size sensitivity"),
-    "ablation-mc-cache": (ablations.run_mc_cache, "MC FIFO-cache ablation"),
-    "ablation-migration": (ablations.run_migration, "DYNAMIC migration ablation"),
-    "ablation-compaction": (ablations.run_compaction, "DRAM compaction ablation"),
+    "table1": (tables.plan_table1, "Table I: NDC taxonomy"),
+    "table2": (tables.plan_table2, "Table II: actions per paradigm"),
+    "table3": (tables.plan_table3, "Table III: per-paradigm microarchitecture"),
+    "table4": (tables.plan_table4, "Table IV: hardware overhead"),
+    "table5": (tables.plan_table5, "Table V: system parameters"),
+    "fig5": (figures.plan_fig5, "Fig. 5: PHI / commutative scatter-updates"),
+    "fig16": (figures.plan_fig16, "Fig. 16: near-cache decompression"),
+    "fig18": (figures.plan_fig18, "Fig. 18: hash-table lookups"),
+    "fig20": (figures.plan_fig20, "Fig. 20: HATS decoupled traversal"),
+    "fig21": (figures.plan_fig21, "Fig. 21: HATS breakdown"),
+    "fig22": (sensitivity.plan_fig22, "Fig. 22: invoke-buffer sensitivity"),
+    "fig23": (sensitivity.plan_fig23, "Fig. 23: stream-buffer sensitivity"),
+    "fig24": (sensitivity.plan_fig24, "Fig. 24: input-size sensitivity"),
+    "fig25": (sensitivity.plan_fig25, "Fig. 25: system-size sensitivity"),
+    "ablation-mc-cache": (ablations.plan_mc_cache, "MC FIFO-cache ablation"),
+    "ablation-migration": (ablations.plan_migration, "DYNAMIC migration ablation"),
+    "ablation-compaction": (ablations.plan_compaction, "DRAM compaction ablation"),
     "ablation-near-memory": (
-        ablations.run_near_memory,
+        ablations.plan_near_memory,
         "near-memory engines extension (Sec. IX future work)",
     ),
     "ablation-components": (
-        ablations.run_components,
+        ablations.plan_components,
         "PHI generality: connected components with min-combining",
     ),
-    "serve-kv": (serving.run_serve_kv, "serving zoo: KV request serving"),
-    "serve-paging": (serving.run_serve_paging, "serving zoo: LLM KV-cache paging"),
-    "serve-scan": (serving.run_serve_scan, "serving zoo: near-storage scan pushdown"),
-    "serve-replay": (serving.run_serve_replay, "serving zoo: JSONL trace replay"),
+    "serve-kv": (serving.plan_serve_kv, "serving zoo: KV request serving"),
+    "serve-paging": (serving.plan_serve_paging, "serving zoo: LLM KV-cache paging"),
+    "serve-scan": (serving.plan_serve_scan, "serving zoo: near-storage scan pushdown"),
+    "serve-replay": (serving.plan_serve_replay, "serving zoo: JSONL trace replay"),
 }
 
-for _name, (_runner, _desc) in _EXPERIMENTS.items():
-    registry.register(_name, _runner, _desc)
+for _name, (_planner, _desc) in _EXPERIMENTS.items():
+    registry.register(_name, _planner, _desc)
 
 
 def main(argv=None):
@@ -236,6 +244,12 @@ def main(argv=None):
             f"--run-retries must be >= 1 (1 disables retry), "
             f"got {args.run_retries}"
         )
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.flight_recorder is not None and args.flight_recorder < 1:
+        parser.error(f"--flight-recorder must be >= 1, got {args.flight_recorder}")
+    if args.run_timeout is not None and not args.run_timeout > 0:
+        parser.error(f"--run-timeout must be > 0 seconds, got {args.run_timeout}")
 
     if args.experiment == "list":
         for name in registry.names():
@@ -325,71 +339,71 @@ def main(argv=None):
         run_timeout=args.run_timeout,
     )
 
+    # Plan every experiment, execute the union of their specs as one
+    # submission (the pool runs each distinct spec once), then render
+    # each experiment from its own slice of the outcomes.
     names = registry.names() if args.experiment == "all" else [args.experiment]
+    plans = {name: registry.plan(name) for name in names}
+    try:
+        outcomes = pool.run([spec for plan in plans.values() for spec in plan.specs])
+    except SweepInterrupted as exc:
+        # Graceful drain already happened (manifest flushed and
+        # fsynced); exit nonzero with the resume hint.
+        print(f"\ninterrupted: {exc}", file=sys.stderr)
+        return 130
+    report = pool.consume_report()
+    executed = report.get("executed", 0)
+    cached = report.get("cached", 0)
+    if args.telemetry_out:
+        print(
+            f"telemetry: {report.get('telemetry_machines', 0)} machine(s) -> "
+            f"{os.path.join(args.telemetry_out, 'runs')}"
+        )
+    if args.faults:
+        print(
+            f"faults: {report.get('faults_injected', 0)} injected over "
+            f"{executed} run(s)"
+        )
+    if args.profile:
+        print(
+            f"profiles: {report.get('profiled', 0)} run(s) -> "
+            f"{os.path.join(args.telemetry_out or args.profile, 'runs')}"
+        )
+    if executed or cached:
+        line = f"pool: {executed} executed, {cached} cached ({pool.jobs} job(s))"
+        retried = report.get("retried", 0)
+        quarantined = report.get("quarantined", 0)
+        if retried:
+            line += f", {retried} retried"
+        if quarantined:
+            line += f", {quarantined} cache entr(ies) quarantined"
+        print(line)
+
     failed = []
     crashed = []
     markdown_sections = []
-    for name in names:
-        started = time.time()
-        error = None
-        error_text = None
+    cursor = 0
+    for name, plan in plans.items():
+        mine = outcomes[cursor : cursor + len(plan.specs)]
+        cursor += len(plan.specs)
+        # The experiment's own host time: the summed run time of its specs.
+        elapsed = sum(outcome.get("elapsed", 0.0) for outcome in mine)
         try:
-            experiment = registry.run(name, pool=pool)
-        except SweepInterrupted as exc:
-            # Graceful drain already happened (manifest flushed and
-            # fsynced); exit nonzero with the resume hint.
-            print(f"\ninterrupted: {exc}", file=sys.stderr)
-            return 130
-        except Exception as exc:  # workload crashed (chaos runs do this)
-            error = exc
-            error_text = traceback.format_exc()
-        elapsed = time.time() - started
-
-        report = pool.consume_report()
-        executed = report.get("executed", 0)
-        cached = report.get("cached", 0)
-        outdir = None
-        if args.telemetry_out:
-            outdir = os.path.join(args.telemetry_out, name)
-            print(
-                f"telemetry: {report.get('telemetry_machines', 0)} machine(s) -> "
-                f"{os.path.join(args.telemetry_out, 'runs')}"
-            )
-        if args.faults:
-            print(
-                f"faults: {report.get('faults_injected', 0)} injected over "
-                f"{executed} run(s)"
-            )
-        if args.profile:
-            print(
-                f"profiles: {report.get('profiled', 0)} run(s) -> "
-                f"{os.path.join(args.telemetry_out or args.profile, 'runs')}"
-            )
-        if executed or cached:
-            line = (
-                f"pool: {executed} executed, {cached} cached "
-                f"({pool.jobs} job(s))"
-            )
-            retried = report.get("retried", 0)
-            quarantined = report.get("quarantined", 0)
-            if retried:
-                line += f", {retried} retried"
-            if quarantined:
-                line += f", {quarantined} cache entr(ies) quarantined"
-            print(line)
-
-        if error is not None:
+            experiment = plan.render(decode_outcomes(mine))
+        except Exception as exc:  # a run crashed (chaos runs do this)
             crashed.append(name)
-            print(f"ERROR: {name} raised {type(error).__name__}: {error}", file=sys.stderr)
+            error_text = traceback.format_exc()
+            print(f"ERROR: {name} raised {type(exc).__name__}: {exc}", file=sys.stderr)
             print(error_text, file=sys.stderr)
-            if outdir is not None:
+            if args.telemetry_out:
+                outdir = os.path.join(args.telemetry_out, name)
                 os.makedirs(outdir, exist_ok=True)
                 with open(os.path.join(outdir, "error.json"), "w") as handle:
                     json.dump(
                         {
                             "experiment": name,
-                            "error": type(error).__name__,
-                            "message": str(error),
+                            "error": type(exc).__name__,
+                            "message": str(exc),
                             "traceback": error_text,
                         },
                         handle,
@@ -404,7 +418,10 @@ def main(argv=None):
             print(speedup_chart(experiment))
         print(f"({elapsed:.1f}s)\n")
         if args.markdown:
-            markdown_sections.append(_markdown_section(name, experiment, elapsed))
+            markdown_sections.append(
+                f"{experiment.markdown()}\n\n"
+                f"_Regenerate with `leviathan-repro {name}` ({elapsed:.1f}s)._\n"
+            )
         if not args.no_check and not experiment.passed:
             failed.append(name)
     if args.markdown:
@@ -426,40 +443,6 @@ def main(argv=None):
         print(f"FAILED shape checks: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
-
-
-def _markdown_section(name, experiment, elapsed):
-    lines = [f"## {experiment.name} ({experiment.paper_reference})", ""]
-    if experiment.notes:
-        lines.append(experiment.notes)
-        lines.append("")
-    if experiment.rows:
-        columns = []
-        for row in experiment.rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-        lines.append("| " + " | ".join(columns) + " |")
-        lines.append("|" + "---|" * len(columns))
-        for row in experiment.rows:
-            lines.append(
-                "| "
-                + " | ".join(_fmt_md(row.get(c, "")) for c in columns)
-                + " |"
-            )
-        lines.append("")
-    for expectation in experiment.expectations:
-        lines.append(f"- {expectation}")
-    lines.append("")
-    lines.append(f"_Regenerate with `leviathan-repro {name}` ({elapsed:.1f}s)._")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _fmt_md(value):
-    if isinstance(value, float):
-        return f"{value:.3g}"
-    return str(value)
 
 
 if __name__ == "__main__":

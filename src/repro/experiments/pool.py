@@ -5,14 +5,13 @@ The paper's evaluation is dozens of *independent* simulator runs
 sweep into a flat list of :class:`RunSpec` entries -- one simulator
 execution each -- and executes them on a worker pool:
 
-- ``jobs=1`` runs specs inline in this process (the default for direct
-  calls from tests and benchmarks); ``jobs>1`` fans out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.
+- ``jobs=1`` runs specs inline in this process; ``jobs>1`` fans out
+  over worker processes.
 - Every spec is content-hashed (function path + canonicalized kwargs +
-  the armed fault plan); completed results are written to
-  ``<cache-dir>/<hash>.json`` so re-runs and overlapping sweeps are
-  free (Figs. 20 and 21 share the HATS study through the cache rather
-  than through ad-hoc memoization).
+  the armed fault plan). A submission executes each distinct hash
+  once (Figs. 20 and 21 share the HATS study that way when ``all``
+  submits every plan's specs together), and completed results are
+  written to ``<cache-dir>/<hash>.json`` so re-runs are free.
 - An append-only ``<cache-dir>/manifest.jsonl`` journals every spec as
   it completes, so an interrupted sweep resumes with ``resume=True`` by
   skipping hashes the journal already records (a truncated final line
@@ -70,7 +69,7 @@ from repro.experiments import retry as retry_taxonomy
 from repro.experiments.backends import WorkerDeath, make_backend
 from repro.experiments.retry import RetryPolicy
 from repro.sim.telemetry.log import ensure_run_logging, get_logger, new_run_id
-from repro.workloads.common import RunResult, StudyResult
+from repro.workloads.common import RunResult
 
 _log = get_logger("pool")
 
@@ -196,6 +195,14 @@ def compute_result_checksum(result_payload):
     return "sha256:" + hashlib.sha256(
         canonical_json(result_payload).encode()
     ).hexdigest()
+
+
+def decode_outcomes(outcomes):
+    """Decode ``outcomes`` in order; raise IncompleteSweepError if any failed."""
+    failed = [o for o in outcomes if o["status"] != "ok"]
+    if failed:
+        raise IncompleteSweepError(failed)
+    return [decode_result(o["result"]) for o in outcomes]
 
 
 def cache_entry_problem(payload):
@@ -770,11 +777,7 @@ class ExperimentPool:
         Raises :class:`IncompleteSweepError` after the whole sweep has
         run if any spec failed.
         """
-        outcomes = self.run(specs)
-        failed = [o for o in outcomes if o["status"] != "ok"]
-        if failed:
-            raise IncompleteSweepError(failed)
-        return [decode_result(o["result"]) for o in outcomes]
+        return decode_outcomes(self.run(specs))
 
     def _execute(self, pending):
         if not pending:
@@ -1224,30 +1227,3 @@ class ExperimentPool:
         """Counters accumulated since the last call (executed/cached/...)."""
         report, self._report = self._report, {}
         return report
-
-
-# ----------------------------------------------------------------------
-# assembly helpers and the shared default pool
-# ----------------------------------------------------------------------
-def run_study(pool, name, baseline, specs, params=None):
-    """Run a study's variant specs and rebuild its ``StudyResult``."""
-    study = StudyResult(study=name, baseline=baseline, params=params or {})
-    for result in pool.run_results(specs):
-        study.add(result)
-    return study
-
-
-_default_pool = None
-
-
-def default_pool():
-    """Process-wide inline pool for direct runner calls (``pool=None``).
-
-    No disk state -- results are memoized in memory only, which is what
-    lets Figs. 20 and 21 share one HATS study when called back to back
-    (replacing the old module-global memo in ``figures.py``).
-    """
-    global _default_pool
-    if _default_pool is None:
-        _default_pool = ExperimentPool(jobs=1, cache_dir=None)
-    return _default_pool

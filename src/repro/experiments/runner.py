@@ -1,7 +1,8 @@
 """Experiment plumbing shared by every table/figure module."""
 
-import inspect
 from dataclasses import dataclass, field
+
+from repro.workloads.common import StudyResult
 
 
 @dataclass
@@ -76,15 +77,19 @@ class Experiment:
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------
-    def table(self):
-        """Render rows as an aligned text table."""
-        if not self.rows:
-            return "(no rows)"
+    def _columns(self):
         columns = []
         for row in self.rows:
             for key in row:
                 if key not in columns:
                     columns.append(key)
+        return columns
+
+    def table(self):
+        """Render rows as an aligned text table."""
+        if not self.rows:
+            return "(no rows)"
+        columns = self._columns()
         widths = {
             c: max(len(str(c)), *(len(_fmt(r.get(c, ""))) for r in self.rows))
             for c in columns
@@ -106,6 +111,24 @@ class Experiment:
             lines.append(str(e))
         return "\n".join(lines)
 
+    def markdown(self):
+        """Render the report as a markdown section (heading, table, checks)."""
+        lines = [f"## {self.name} ({self.paper_reference})", ""]
+        if self.notes:
+            lines.extend([self.notes, ""])
+        if self.rows:
+            columns = self._columns()
+            lines.append("| " + " | ".join(columns) + " |")
+            lines.append("|" + "---|" * len(columns))
+            for row in self.rows:
+                lines.append(
+                    "| " + " | ".join(_fmt(row.get(c, "")) for c in columns) + " |"
+                )
+            lines.append("")
+        for e in self.expectations:
+            lines.append(f"- {e}")
+        return "\n".join(lines)
+
 
 def _fmt(value):
     if isinstance(value, float):
@@ -113,45 +136,53 @@ def _fmt(value):
     return str(value)
 
 
+@dataclass
+class Plan:
+    """An experiment before execution: its RunSpecs plus a pure render.
+
+    ``render(results) -> Experiment`` receives the decoded results of
+    ``specs`` in spec order and never touches a pool, so a caller may
+    execute the specs of many plans in one pool submission and render
+    each plan from its own slice. Analytic tables are plans with no
+    specs.
+    """
+
+    specs: list
+    render: object
+
+    def run(self, pool):
+        """Execute this plan alone on ``pool`` and render it."""
+        return self.render(pool.run_results(self.specs))
+
+
+def run_study(name, baseline, results, params=None):
+    """Assemble a study's variant results into a ``StudyResult``."""
+    study = StudyResult(study=name, baseline=baseline, params=params or {})
+    for result in results:
+        study.add(result)
+    return study
+
+
 class ExperimentRegistry:
-    """Name -> run() mapping used by the CLI."""
+    """Name -> plan function mapping used by the CLI."""
 
     def __init__(self):
-        self._runners = {}
+        self._planners = {}
 
-    def register(self, name, runner, description=""):
-        self._runners[name] = (runner, description)
+    def register(self, name, planner, description=""):
+        self._planners[name] = (planner, description)
 
     def names(self):
-        return sorted(self._runners)
+        return sorted(self._planners)
 
     def describe(self):
-        return {name: desc for name, (_, desc) in self._runners.items()}
+        return {name: desc for name, (_, desc) in self._planners.items()}
 
-    def run(self, name, pool=None, **kwargs):
-        """Run one registered experiment.
-
-        ``pool`` is an :class:`~repro.experiments.pool.ExperimentPool`
-        shared across the whole CLI invocation so overlapping specs are
-        executed once. It is forwarded only to runners that declare a
-        ``pool`` parameter — ad-hoc runners (tests register plain
-        callables) keep working unchanged.
-        """
-        if name not in self._runners:
+    def plan(self, name):
+        """The :class:`Plan` of one registered experiment."""
+        if name not in self._planners:
             raise KeyError(
                 f"unknown experiment {name!r}; known: {', '.join(self.names())}"
             )
-        runner, _ = self._runners[name]
-        if pool is not None and _accepts_pool(runner):
-            kwargs["pool"] = pool
-        return runner(**kwargs)
-
-
-def _accepts_pool(runner):
-    try:
-        params = inspect.signature(runner).parameters
-    except (TypeError, ValueError):
-        return False
-    return "pool" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
+        planner, _ = self._planners[name]
+        return planner()

@@ -25,6 +25,11 @@ def slow_point(tag, seconds=0.3):
     return {"tag": tag}
 
 
+def crashing_point(message="chaos took the machine down"):
+    """A run whose workload raises: the pool records a failed outcome."""
+    raise RuntimeError(message)
+
+
 def flaky_point(sentinel, tag="flaky"):
     """SIGKILL our own worker once; succeed after the sentinel exists.
 

@@ -3,6 +3,23 @@
 import pytest
 
 import repro.experiments.cli as cli
+from repro.experiments.ablations import plan_compaction
+from repro.experiments.pool import ExperimentPool, RunSpec
+from repro.experiments.runner import ExperimentRegistry, Plan
+from repro.experiments.tables import plan_table4
+
+
+def _crashing_plan():
+    spec = RunSpec("tests.obs_helpers:crashing_point", {}, "crash/point")
+    return Plan([spec], lambda results: pytest.fail("rendered a crashed plan"))
+
+
+def _only(monkeypatch, **planners):
+    """Point the CLI at a registry holding just ``planners``."""
+    registry = ExperimentRegistry()
+    for name, planner in planners.items():
+        registry.register(name, planner)
+    monkeypatch.setattr(cli, "registry", registry)
 
 
 class TestCli:
@@ -33,12 +50,34 @@ class TestCli:
         assert cli.main(["bench"]) == 2
         assert "unknown experiment 'bench'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("retries", ["0", "-1"])
-    def test_bad_run_retries_is_a_usage_error(self, retries, capsys):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--run-retries", "0", "--run-retries must be >= 1", id="0"),
+            pytest.param("--run-retries", "-1", "--run-retries must be >= 1", id="-1"),
+            pytest.param("--jobs", "0", "--jobs must be >= 1", id="jobs=0"),
+            pytest.param("--jobs", "-3", "--jobs must be >= 1", id="jobs=-3"),
+            pytest.param(
+                "--flight-recorder", "-5", "--flight-recorder must be >= 1",
+                id="flight-recorder=-5",
+            ),
+            pytest.param(
+                "--flight-recorder", "0", "--flight-recorder must be >= 1",
+                id="flight-recorder=0",
+            ),
+            pytest.param(
+                "--run-timeout", "-1", "--run-timeout must be > 0", id="run-timeout=-1"
+            ),
+            pytest.param(
+                "--run-timeout", "0", "--run-timeout must be > 0", id="run-timeout=0"
+            ),
+        ],
+    )
+    def test_bad_run_retries_is_a_usage_error(self, flag, value, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["list", "--run-retries", retries])
+            cli.main(["table4", flag, value])
         assert excinfo.value.code == 2  # argparse usage error, not a traceback
-        assert "--run-retries must be >= 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_markdown_output(self, tmp_path, capsys):
         target = tmp_path / "report.md"
@@ -49,20 +88,46 @@ class TestCli:
         assert "leviathan-repro table1" in text
 
     def test_failed_expectations_exit_nonzero(self, monkeypatch, capsys):
-        from repro.experiments import registry
         from repro.experiments.runner import Experiment
 
-        def failing():
+        def failing(results):
             exp = Experiment(name="doomed", paper_reference="-")
             exp.expect("impossible", "greater", 0.0, 1.0)
             return exp
 
-        registry.register("doomed-test", failing, "always fails")
-        try:
-            assert cli.main(["doomed-test"]) == 1
-            assert cli.main(["doomed-test", "--no-check"]) == 0
-        finally:
-            registry._runners.pop("doomed-test", None)
+        _only(monkeypatch, **{"doomed-test": lambda: Plan([], failing)})
+        assert cli.main(["doomed-test"]) == 1
+        assert cli.main(["doomed-test", "--no-check"]) == 0
+
+    def test_one_pool_submission_per_invocation(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real_run = ExperimentPool.run
+
+        def recording_run(pool, specs):
+            calls.append([spec.label for spec in specs])
+            return real_run(pool, specs)
+
+        monkeypatch.setattr(ExperimentPool, "run", recording_run)
+        # Two experiments with the same specs, plus an analytic table.
+        _only(monkeypatch, a=plan_compaction, b=plan_compaction, t=plan_table4)
+        assert cli.main(["all", "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert len(calls) == 1
+        assert calls[0] == ["compaction/on", "compaction/off"] * 2
+        out = capsys.readouterr().out
+        # The shared specs execute once; both experiments still render.
+        assert "pool: 2 executed, 0 cached" in out
+        assert out.count("== DRAM object compaction") == 2
+        assert "Hardware overhead per LLC bank" in out
+
+    def test_interrupted_sweep_exits_130(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments.pool import SweepInterrupted
+
+        def interrupted(pool, specs):
+            raise SweepInterrupted("SIGINT", 0, len(specs))
+
+        monkeypatch.setattr(ExperimentPool, "run", interrupted)
+        assert cli.main(["ablation-compaction", "--cache-dir", str(tmp_path)]) == 130
+        assert "--resume" in capsys.readouterr().err
 
     def test_speedup_chart_printed(self, capsys):
         assert cli.main(["ablation-compaction"]) == 0
@@ -155,45 +220,43 @@ class TestFaultsCli:
         with pytest.raises(FaultPlanError):
             cli.main(["ablation-mc-cache", "--no-check", "--faults", "meteor:1"])
 
-    def test_crashing_workload_exits_nonzero(self, tmp_path, capsys):
+    def test_crashing_workload_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         import json
 
-        from repro.experiments import registry
-
-        def crashing():
-            raise RuntimeError("chaos took the machine down")
-
-        registry.register("crash-test", crashing, "always crashes")
-        try:
-            outdir = tmp_path / "crash"
-            assert (
-                cli.main(["crash-test", "--telemetry-out", str(outdir)]) == 1
+        _only(monkeypatch, **{"crash-test": _crashing_plan, "table4": plan_table4})
+        outdir = tmp_path / "crash"
+        assert (
+            cli.main(
+                ["all", "--cache-dir", str(tmp_path / "cache"),
+                 "--telemetry-out", str(outdir)]
             )
-            err = capsys.readouterr().err
-            assert "CRASHED: crash-test" in err
-            assert "chaos took the machine down" in err
-            error_path = outdir / "crash-test" / "error.json"
-            assert error_path.exists()
-            saved = json.loads(error_path.read_text())
-            assert saved["error"] == "RuntimeError"
-            assert "chaos took the machine down" in saved["message"]
-            assert "Traceback" in saved["traceback"]
-        finally:
-            registry._runners.pop("crash-test", None)
+            == 1
+        )
+        captured = capsys.readouterr()
+        assert "CRASHED: crash-test" in captured.err
+        assert "chaos took the machine down" in captured.err
+        # The experiment beside the crashed one still renders.
+        assert "Hardware overhead per LLC bank" in captured.out
+        error_path = outdir / "crash-test" / "error.json"
+        assert error_path.exists()
+        saved = json.loads(error_path.read_text())
+        assert saved["error"] == "IncompleteSweepError"
+        assert "crash/point: RuntimeError: chaos took the machine down" in saved["message"]
+        assert "Traceback" in saved["traceback"]
+        assert not (outdir / "table4").exists()
 
-    def test_crash_does_not_leak_sessions(self, capsys):
-        from repro.experiments import registry
+    def test_crash_does_not_leak_sessions(self, tmp_path, monkeypatch, capsys):
         from repro.sim.faults import active_session as fault_session
         from repro.sim.telemetry.session import active_session as telemetry_session
 
-        def crashing():
-            raise ValueError("boom")
-
-        registry.register("crash-test-2", crashing, "always crashes")
-        try:
-            assert cli.main(["crash-test-2", "--faults", "seed:1"]) == 1
-            assert fault_session() is None
-            assert telemetry_session() is None
-        finally:
-            registry._runners.pop("crash-test-2", None)
+        _only(monkeypatch, **{"crash-test-2": _crashing_plan})
+        assert (
+            cli.main(
+                ["crash-test-2", "--faults", "seed:1",
+                 "--cache-dir", str(tmp_path / "cache")]
+            )
+            == 1
+        )
+        assert fault_session() is None
+        assert telemetry_session() is None
         capsys.readouterr()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.runner import Expectation, Experiment, ExperimentRegistry
+from repro.experiments.pool import ExperimentPool
+from repro.experiments.runner import Expectation, Experiment, ExperimentRegistry, Plan
 
 
 class TestExpectation:
@@ -80,15 +81,16 @@ class TestExperiment:
 class TestRegistry:
     def test_register_and_run(self):
         registry = ExperimentRegistry()
-        registry.register("demo", lambda: "ran", "a demo")
-        assert registry.run("demo") == "ran"
+        registry.register("demo", lambda: Plan([], lambda results: "ran"), "a demo")
+        pool = ExperimentPool(jobs=1, cache_dir=None)
+        assert registry.plan("demo").run(pool) == "ran"
         assert registry.names() == ["demo"]
         assert registry.describe() == {"demo": "a demo"}
 
     def test_unknown_name(self):
         registry = ExperimentRegistry()
         with pytest.raises(KeyError):
-            registry.run("nope")
+            registry.plan("nope")
 
     def test_cli_registry_contains_all_figures(self):
         from repro.experiments import registry

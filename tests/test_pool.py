@@ -9,7 +9,6 @@ import json
 
 import pytest
 
-from repro.experiments import pool as pool_module
 from repro.experiments.pool import (
     ExperimentPool,
     IncompleteSweepError,
@@ -113,8 +112,8 @@ class TestDeterminism:
 
         inline = ExperimentPool(jobs=1, cache_dir=str(tmp_path / "c1"))
         parallel = ExperimentPool(jobs=4, cache_dir=str(tmp_path / "c4"))
-        exp1 = figures.run_fig18(params=_TINY, sizes=(24, 64), pool=inline)
-        exp4 = figures.run_fig18(params=_TINY, sizes=(24, 64), pool=parallel)
+        exp1 = figures.plan_fig18(params=_TINY, sizes=(24, 64)).run(inline)
+        exp4 = figures.plan_fig18(params=_TINY, sizes=(24, 64)).run(parallel)
         assert json.dumps(exp1.rows, sort_keys=True) == json.dumps(
             exp4.rows, sort_keys=True
         )
@@ -133,8 +132,8 @@ class TestDeterminism:
             backend="local-process",
             retry=RetryPolicy(max_attempts=1),
         )
-        exp1 = figures.run_fig18(params=_TINY, sizes=(24, 64), pool=inline)
-        exp4 = figures.run_fig18(params=_TINY, sizes=(24, 64), pool=supervised)
+        exp1 = figures.plan_fig18(params=_TINY, sizes=(24, 64)).run(inline)
+        exp4 = figures.plan_fig18(params=_TINY, sizes=(24, 64)).run(supervised)
         assert json.dumps(exp1.rows, sort_keys=True) == json.dumps(
             exp4.rows, sort_keys=True
         )
@@ -145,12 +144,9 @@ class TestDeterminism:
         from repro.experiments import figures
 
         cache = str(tmp_path / "cache")
-        fresh = figures.run_fig18(
-            params=_TINY, sizes=(24,), pool=ExperimentPool(jobs=1, cache_dir=cache)
-        )
-        cached = figures.run_fig18(
-            params=_TINY, sizes=(24,), pool=ExperimentPool(jobs=1, cache_dir=cache)
-        )
+        plan = figures.plan_fig18(params=_TINY, sizes=(24,))
+        fresh = plan.run(ExperimentPool(jobs=1, cache_dir=cache))
+        cached = plan.run(ExperimentPool(jobs=1, cache_dir=cache))
         assert json.dumps(fresh.rows, sort_keys=True) == json.dumps(
             cached.rows, sort_keys=True
         )
@@ -325,9 +321,3 @@ class TestArtifacts:
         saved = json.loads(reports[0].read_text())
         assert saved["seed"] == 3
         assert saved["machines"]
-
-    def test_default_pool_is_inline_and_memoized(self):
-        pool = pool_module.default_pool()
-        assert pool is pool_module.default_pool()
-        assert pool.jobs == 1
-        assert pool.cache_dir is None

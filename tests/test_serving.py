@@ -342,18 +342,18 @@ class TestChaos:
 # ----------------------------------------------------------------------
 class TestExperiments:
     @pytest.mark.parametrize(
-        "runner",
+        "planner",
         [
-            serving_experiments.run_serve_kv,
-            serving_experiments.run_serve_paging,
-            serving_experiments.run_serve_scan,
-            serving_experiments.run_serve_replay,
+            serving_experiments.plan_serve_kv,
+            serving_experiments.plan_serve_paging,
+            serving_experiments.plan_serve_scan,
+            serving_experiments.plan_serve_replay,
         ],
         ids=["serve-kv", "serve-paging", "serve-scan", "serve-replay"],
     )
-    def test_experiment_passes(self, runner, tmp_path):
+    def test_experiment_passes(self, planner, tmp_path):
         pool = ExperimentPool(jobs=1, cache_dir=str(tmp_path / "cache"))
-        exp = runner(pool=pool)
+        exp = planner().run(pool)
         exp.check()  # raises listing any failed expectation
 
     def test_serve_kv_dashboard_requests_match_run_stats(self, tmp_path):
