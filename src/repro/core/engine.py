@@ -38,6 +38,12 @@ class Engine:
         self.tile = tile
         cfg = self.machine.config.engine
         self.config = cfg
+        stats = self.machine.stats
+        self._values = stats.values
+        self._rtlb_lookups = stats.slot("engine.rtlb_lookups")
+        self._rtlb_misses = stats.slot("engine.rtlb_misses")
+        self._nacks = stats.slot("engine.nacks")
+        self._tasks = stats.slot("engine.tasks")
         #: Offload task contexts in use (data-triggered actions run
         #: inline at cache fills and use the other half of the buffer).
         self.busy_offload = 0
@@ -66,11 +72,11 @@ class Engine:
         Returns the added latency (0 on a hit, the refill penalty on a
         miss). The rTLB holds ``rtlb_entries`` pages, LRU-replaced.
         """
-        self.machine.stats.add("engine.rtlb_lookups")
+        self._values[self._rtlb_lookups] += 1
         if page in self._rtlb:
             self._rtlb.move_to_end(page)
             return 0
-        self.machine.stats.add("engine.rtlb_misses")
+        self._values[self._rtlb_misses] += 1
         self._rtlb[page] = True
         while len(self._rtlb) > self.config.rtlb_entries:
             self._rtlb.popitem(last=False)
@@ -158,7 +164,7 @@ class Engine:
         task = _PendingTask(program, name, on_accept, on_complete, near_memory, cid)
         if self.offer(task, at_time):
             return True
-        self.machine.stats.add("engine.nacks")
+        self._values[self._nacks] += 1
         self._queue.append(task)
         if self.machine.events.active:
             self.machine.events.emit(
@@ -188,7 +194,7 @@ class Engine:
 
     def nack(self, task, at_time):
         """Account a NACK for a task the invoker will retry itself."""
-        self.machine.stats.add("engine.nacks")
+        self._values[self._nacks] += 1
         if self.machine.events.active:
             self.machine.events.emit(
                 EngineTask(self.tile, task.name, False, task.cid, at_time, len(self._queue))
@@ -196,7 +202,7 @@ class Engine:
 
     def _accept(self, task, at_time):
         self.busy_offload += 1
-        self.machine.stats.add("engine.tasks")
+        self._values[self._tasks] += 1
         if self.machine.events.active:
             self.machine.events.emit(
                 EngineTaskStart(self.tile, task.name, task.cid, at_time)

@@ -66,6 +66,8 @@ class Morph:
         self.object_size = object_size
         self.name = name or type(self).__name__
         self.registered = False
+        self._values = self.machine.stats.values
+        self._rtlb_lookups = self.machine.stats.slot("morph.rtlb_lookups")
 
         line_size = self.machine.config.line_size
         if not padding and line_size % object_size != 0:
@@ -239,7 +241,7 @@ class Morph:
 
     def _rtlb_translate(self, tile, line):
         """Account the engine's reverse translation of ``line``."""
-        self.machine.stats.add("morph.rtlb_lookups")
+        self._values[self._rtlb_lookups] += 1
         engines = self.machine.engines
         if not engines:
             return 0

@@ -71,6 +71,8 @@ class InvokeBuffer:
         self.entries = entries
         #: One ACK timestamp per in-flight invoke (None until accepted).
         self._acks = []
+        self._values = machine.stats.values
+        self._buffered = machine.stats.slot("invoke.buffered")
         self.slot_freed = Condition(f"invoke_buffer{tile}")
 
     def _prune(self, now):
@@ -89,7 +91,7 @@ class InvokeBuffer:
         self._prune(now)
         slot = [None]
         self._acks.append(slot)
-        self.machine.stats.add("invoke.buffered")
+        self._values[self._buffered] += 1
         return slot
 
     def earliest_ack(self, now):
@@ -101,6 +103,28 @@ class InvokeBuffer:
         """Record the slot's ACK time and wake any stalled invokes."""
         slot[0] = at_time
         self.machine.wake_all(self.slot_freed, at_time=at_time)
+
+
+class InvokeCounters:
+    """The invoke path's ``invoke.<name>`` counter slots, bound once per runtime."""
+
+    __slots__ = (
+        "values",
+        "issued",
+        "inline_at_core",
+        "local_engine",
+        "remote",
+        "near_memory",
+        "migrations",
+        "stalls",
+        "retries",
+        "spill_bytes",
+    )
+
+    def __init__(self, stats):
+        self.values = stats.values
+        for name in self.__slots__[1:]:
+            setattr(self, name, stats.slot(f"invoke.{name}"))
 
 
 @dataclass
@@ -137,7 +161,8 @@ class Invoke(Op):
         runtime = machine.leviathan
         if runtime is None:
             raise RuntimeError("invoke requires a Leviathan runtime on the machine")
-        machine.stats.add("invoke.issued")
+        counts = runtime.invoke_counters
+        counts.values[counts.issued] += 1
 
         future = self.future
         if self.with_future:
@@ -178,7 +203,7 @@ class Invoke(Op):
 
         if inline_at_core:
             # DYNAMIC with the actor in the invoker's L1: run right here.
-            machine.stats.add("invoke.inline_at_core")
+            counts.values[counts.inline_at_core] += 1
             name = f"{self.action}@core"
             if machine.events.active:
                 machine.events.emit(EngineTaskStart(ctx.tile, name, cid, ctx.time))
@@ -224,7 +249,7 @@ class Invoke(Op):
         if future is None and not ctx.is_engine and not ctx.inline:
             buffer = runtime.invoke_buffers[ctx.tile]
             if buffer.full(ctx.time):
-                machine.stats.add("invoke.stalls")
+                counts.values[counts.stalls] += 1
                 ack = buffer.earliest_ack(ctx.time)
                 if ack is None:
                     # Every slot is waiting on a NACKed engine: the
@@ -272,8 +297,8 @@ class Invoke(Op):
             )
             if not accepted:
                 # Spill traffic: the NACK back to the core and the re-send.
-                machine.stats.add("invoke.retries")
-                machine.stats.add("invoke.spill_bytes", NACK_BYTES)
+                counts.values[counts.retries] += 1
+                counts.values[counts.spill_bytes] += NACK_BYTES
                 machine.hierarchy.noc.send(target, ctx.tile, NACK_BYTES)
                 machine.hierarchy.noc.send(ctx.tile, target, packet_bytes)
             return stall + 1
@@ -291,7 +316,7 @@ class Invoke(Op):
         )
         if not engine.offer(task, arrival):
             engine.nack(task, arrival)
-            machine.stats.add("invoke.spill_bytes", NACK_BYTES)
+            counts.values[counts.spill_bytes] += NACK_BYTES
             machine.hierarchy.noc.send(target, ctx.tile, NACK_BYTES)
             machine.spawn(
                 self._retry_shuttle(machine, runtime, task, target, ctx.tile, packet_bytes),
@@ -312,6 +337,7 @@ class Invoke(Op):
         """
         cfg = machine.config.core
         noc = machine.hierarchy.noc
+        counts = runtime.invoke_counters
         backoff = float(cfg.invoke_retry_delay)
         for attempt in range(1, cfg.invoke_max_retries + 1):
             yield Sleep(backoff)
@@ -341,7 +367,7 @@ class Invoke(Op):
                 machine.stats.add("invoke.rerouted")
                 target = fallback.tile
                 engine = fallback
-            machine.stats.add("invoke.retries")
+            counts.values[counts.retries] += 1
             resend = noc.send(src, target, packet_bytes)
             if machine.events.active:
                 machine.events.emit(
@@ -354,7 +380,7 @@ class Invoke(Op):
             if engine.offer(task, machine.sim_time()):
                 return
             engine.nack(task, machine.sim_time())
-            machine.stats.add("invoke.spill_bytes", NACK_BYTES)
+            counts.values[counts.spill_bytes] += NACK_BYTES
             noc.send(target, src, NACK_BYTES)
             backoff *= cfg.invoke_retry_backoff
         raise InvokeTimeout(
@@ -395,6 +421,7 @@ class Invoke(Op):
             return hierarchy.bank_of(line), False, False
 
         # DYNAMIC: probe down the hierarchy (Sec. VI-B1).
+        counts = runtime.invoke_counters
         if hierarchy.l1[ctx.tile].contains(line) or (
             ctx.is_engine and hierarchy.engine_l1[ctx.tile].contains(line)
         ):
@@ -404,7 +431,7 @@ class Invoke(Op):
         ].contains(line):
             # Cached on this tile (core L2 or the engine's L1d, e.g.
             # after a migration pulled the actor up): local engine.
-            machine.stats.add("invoke.local_engine")
+            counts.values[counts.local_engine] += 1
             return ctx.tile, False, False
         target = hierarchy.bank_of(line)
         near_memory = False
@@ -422,11 +449,11 @@ class Invoke(Op):
             dram_line = hierarchy.hooks.translate(line)[0]
             target = hierarchy.mem.controller_tile(dram_line)
             near_memory = True
-            machine.stats.add("invoke.near_memory")
+            counts.values[counts.near_memory] += 1
         if target != ctx.tile:
             runtime.migration_ticks += 1
             if runtime.migration_ticks % machine.config.leviathan.migration_period == 0:
-                machine.stats.add("invoke.migrations")
+                counts.values[counts.migrations] += 1
                 return ctx.tile, False, False
-            machine.stats.add("invoke.remote")
+            counts.values[counts.remote] += 1
         return target, False, near_memory

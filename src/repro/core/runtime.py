@@ -16,7 +16,7 @@ the baseline.
 from repro.core.allocator import Allocator
 from repro.core.engine import NACK_BYTES, Engine
 from repro.core.mapping import MappingRegistry
-from repro.core.offload import InvokeBuffer
+from repro.core.offload import InvokeBuffer, InvokeCounters
 from repro.sim.events import DegradedToFallback, EngineTaskDone, EngineTaskStart
 from repro.sim.hierarchy import HierarchyHooks
 
@@ -74,6 +74,7 @@ class Leviathan:
             InvokeBuffer(machine, t, cfg.core.invoke_buffer_entries)
             for t in range(cfg.n_tiles)
         ]
+        self.invoke_counters = InvokeCounters(machine.stats)
         self.migration_ticks = 0
         #: (base_line, bound_line, level, morph) registration records.
         self._morphs = []

@@ -74,6 +74,12 @@ class Stream(Morph):
             name=name or type(self).__name__,
         )
         machine = self.machine
+        slot = machine.stats.slot
+        self._pushes = slot("stream.pushes")
+        self._pops = slot("stream.pops")
+        self._push_blocks = slot("stream.push_blocks")
+        self._consume_blocks = slot("stream.consume_blocks")
+        self._pop_messages = slot("stream.pop_messages")
         entries_per_line = max(1, machine.config.line_size // self.padded_size)
         if buffer_entries < 2 * entries_per_line:
             raise ValueError(
@@ -203,7 +209,7 @@ class Stream(Morph):
         while self.tail - self.head_engine >= self.buffer_entries:
             if self.terminated:
                 raise StreamTerminated()
-            self.machine.stats.add("stream.push_blocks")
+            self._values[self._push_blocks] += 1
             if self.machine.events.active:
                 self.machine.events.emit(
                     StreamBlocked(self.name, "producer", self.machine.sim_time())
@@ -216,7 +222,7 @@ class Stream(Morph):
         yield Compute(2)  # pointer bump + wrap check on the engine
         self.machine.mem[self.get_actor_addr(index)] = obj
         self.tail += 1
-        self.machine.stats.add("stream.pushes")
+        self._values[self._pushes] += 1
         if self.machine.events.active:
             self.machine.events.emit(
                 StreamPush(
@@ -245,7 +251,7 @@ class Stream(Morph):
         while self.head >= self.tail:
             if self.producer_done:
                 return STREAM_END
-            self.machine.stats.add("stream.consume_blocks")
+            self._values[self._consume_blocks] += 1
             if self.machine.events.active:
                 self.machine.events.emit(
                     StreamBlocked(self.name, "consumer", self.machine.sim_time())
@@ -274,7 +280,7 @@ class Stream(Morph):
     def _pop(self, index):
         """The pop instruction: bump the head, notify the engine per line."""
         self.head = index + 1
-        self.machine.stats.add("stream.pops")
+        self._values[self._pops] += 1
         messaged = self.head % self.entries_per_line == 0 or self.head >= self.tail
         if self.machine.events.active:
             self.machine.events.emit(
@@ -297,7 +303,7 @@ class Stream(Morph):
             self.machine.hierarchy.l1[self.consumer_tile].invalidate(old_line)
             self.machine.hierarchy.l2[self.consumer_tile].invalidate(old_line)
             self.head_engine = self.head
-            self.machine.stats.add("stream.pop_messages")
+            self._values[self._pop_messages] += 1
             self.machine.wake_all(self.space_avail)
         yield Compute(1)
 
@@ -317,13 +323,13 @@ class Stream(Morph):
         while fb.tail - fb.head >= fb.buffer_entries:
             if self.terminated:
                 raise StreamTerminated()
-            self.machine.stats.add("stream.push_blocks")
+            self._values[self._push_blocks] += 1
             yield Wait(fb.space_avail)
         if self.terminated:
             raise StreamTerminated()
         yield from fb.push(obj)
         self.tail += 1
-        self.machine.stats.add("stream.pushes")
+        self._values[self._pushes] += 1
 
     def _consume_degraded(self):
         value = yield from self._fallback.pop()
@@ -331,7 +337,7 @@ class Stream(Morph):
             return STREAM_END
         self.head += 1
         self.head_engine = self.head
-        self.machine.stats.add("stream.pops")
+        self._values[self._pops] += 1
         return value
 
     # ------------------------------------------------------------------

@@ -250,6 +250,16 @@ def main(argv=None):
         parser.error(f"--flight-recorder must be >= 1, got {args.flight_recorder}")
     if args.run_timeout is not None and not args.run_timeout > 0:
         parser.error(f"--run-timeout must be > 0 seconds, got {args.run_timeout}")
+    if args.faults:
+        # Validate the fault spec up front (each pool worker re-parses
+        # it per run); a bad spec is a usage error, not a chaos crash.
+        from repro.sim.faults import FaultPlan, FaultPlanError
+
+        try:
+            FaultPlan.parse(args.faults)
+        except FaultPlanError as exc:
+            print(f"--faults: {exc}", file=sys.stderr)
+            return 2
 
     if args.experiment == "list":
         for name in registry.names():
@@ -311,13 +321,6 @@ def main(argv=None):
         return 2
 
     from repro.experiments.plotting import speedup_chart
-
-    if args.faults:
-        # Validate the fault spec up front (each pool worker re-parses
-        # it per run); a bad spec is a usage error, not a chaos crash.
-        from repro.sim.faults import FaultPlan
-
-        FaultPlan.parse(args.faults)
 
     retry = (
         RetryPolicy(max_attempts=args.run_retries)

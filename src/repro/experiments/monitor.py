@@ -196,11 +196,11 @@ class HeartbeatWriter:
         if not self._machines:
             return {"sim_time": None, "instructions": None, "machines": 0}
         machine = self._machines[-1]
-        counters = machine.stats.counters
+        stats = machine.stats
         sampled = {
             "sim_time": machine.scheduler.now,
-            "instructions": counters.get("core.instructions", 0)
-            + counters.get("engine.instructions", 0),
+            "instructions": stats.get("core.instructions")
+            + stats.get("engine.instructions"),
             "machines": len(self._machines),
         }
         request_p95 = _live_request_p95(machine)

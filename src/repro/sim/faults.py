@@ -38,6 +38,7 @@ gets a fresh :class:`FaultController` for the plan.
 """
 
 import json
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -158,6 +159,12 @@ class DramError:
         return base
 
 
+def _require_cycles(rule, value, what):
+    """Reject a negative or non-finite time, window, delay or penalty."""
+    if not (math.isfinite(value) and value >= 0):
+        raise FaultPlanError(f"negative or non-finite {what} {value!r} in {rule.kind} rule")
+
+
 def _num(value):
     """Render a number without a trailing ``.0`` (specs stay compact)."""
     value = float(value)
@@ -189,15 +196,23 @@ class FaultPlan:
 
     @staticmethod
     def _validate(rule):
+        # Cycle counts first: ``spec()`` cannot render a non-finite one.
         if isinstance(rule, _ENGINE_RULES):
+            _require_cycles(rule, rule.at_time, "time")
+            if not isinstance(rule, EngineCrash):
+                _require_cycles(rule, rule.duration, "window")
+                if rule.duration == 0:
+                    raise FaultPlanError(f"non-positive window in {rule.spec()}")
             if rule.tile < 0:
                 raise FaultPlanError(f"negative tile in {rule.spec()}")
-            if not isinstance(rule, EngineCrash) and rule.duration <= 0:
-                raise FaultPlanError(f"non-positive window in {rule.spec()}")
         elif isinstance(rule, _NOC_RULES):
+            delay = rule.delay if isinstance(rule, NocDelay) else rule.retransmit_delay
+            _require_cycles(rule, delay, "delay")
             if not 0.0 <= rule.prob <= 1.0:
                 raise FaultPlanError(f"probability out of [0, 1] in {rule.spec()}")
         elif isinstance(rule, _DRAM_RULES):
+            if rule.penalty is not None:
+                _require_cycles(rule, rule.penalty, "penalty")
             if not 0.0 <= rule.prob <= 1.0:
                 raise FaultPlanError(f"probability out of [0, 1] in {rule.spec()}")
             if rule.lo_line > rule.hi_line or rule.lo_line < 0:

@@ -119,7 +119,13 @@ class FillEngine:
 
     def __init__(self, hierarchy):
         self.h = hierarchy
-        self.stats = hierarchy.stats
+        stats = hierarchy.stats
+        self._values = stats.values
+        self._prefetch_nacked = stats.slot("prefetch.nacked")
+        self._destructions = {
+            "l2": stats.slot("morph.l2_destructions"),
+            "llc": stats.slot("morph.llc_destructions"),
+        }
         self.bus = hierarchy.bus
         self.hooks = HierarchyHooks()
         self._hook_depth = 0
@@ -149,14 +155,14 @@ class FillEngine:
 
     def run_on_miss_if_allowed(self, tile, line):
         if not self.hooks.allow_prefetch("l2", tile, line):
-            self.stats.add("prefetch.nacked")
+            self._values[self._prefetch_nacked] += 1
             return _PREFETCH_DENIED
         return self.run_on_miss("l2", tile, line)
 
     def queue_destructor(self, level, tile, line, dirty):
         """Queue a data-triggered destructor on the pending-actor buffer."""
         self._pending_destructors.append((level, tile, line, dirty))
-        self.stats.add(f"morph.{level}_destructions")
+        self._values[self._destructions[level]] += 1
         if self.emit_morph_destruct:
             self.bus.emit(MorphDestruct(level, tile, line, dirty))
 
@@ -190,7 +196,15 @@ class PrivateCachePath:
         self.h = hierarchy
         cfg = hierarchy.config
         self.config = cfg
-        self.stats = hierarchy.stats
+        stats = hierarchy.stats
+        self._values = stats.values
+        self._l1_accesses = stats.slot("l1.accesses")
+        self._l2_accesses = stats.slot("l2.accesses")
+        self._engine_l1_accesses = stats.slot("engine_l1.accesses")
+        self._l2_constructions = stats.slot("morph.l2_constructions")
+        self._direct_accesses = stats.slot("near_memory.direct_accesses")
+        self._prefetch_issued = stats.slot("prefetch.issued")
+        self._prefetch_morph_fills = stats.slot("prefetch.morph_fills")
         self.bus = hierarchy.bus
         n = cfg.n_tiles
         self.l1 = [hierarchy.build_cache(cfg.l1, "l1.", t) for t in range(n)]
@@ -231,15 +245,10 @@ class PrivateCachePath:
     # ------------------------------------------------------------------
     def access_line(self, req):
         """Walk a core access through L1 -> L2 -> (morph | shared path)."""
-        stats = self.stats
-        counters = stats.counters
-        phased = stats._phase is not None
+        values = self._values
         tile, line, is_write = req.tile, req.line, req.is_write
 
-        if phased:
-            stats.add("l1.accesses")
-        else:
-            counters["l1.accesses"] += 1
+        values[self._l1_accesses] += 1
         entry = self.l1[tile].lookup(line)
         if self.emit_cache_access:
             self.bus.emit(
@@ -255,10 +264,7 @@ class PrivateCachePath:
         req.outcomes.append(("l1", "miss"))
         req.latency += self._l1_tag
 
-        if phased:
-            stats.add("l2.accesses")
-        else:
-            counters["l2.accesses"] += 1
+        values[self._l2_accesses] += 1
         l2_entry = self.l2[tile].lookup(line)
         if self.emit_cache_access:
             self.bus.emit(
@@ -282,7 +288,7 @@ class PrivateCachePath:
             for obj_line in result.lines:
                 self.insert_l2(tile, obj_line, dirty=result.dirty, morph=True)
             self.fill_private(tile, line, is_write, False, morph=True)
-            stats.add("morph.l2_constructions")
+            values[self._l2_constructions] += 1
             if self.emit_morph_construct:
                 self.bus.emit(MorphConstruct("l2", tile, line))
             return
@@ -314,9 +320,7 @@ class PrivateCachePath:
         crosses no NoC links.
         """
         h = self.h
-        stats = self.stats
-        counters = stats.counters
-        phased = stats._phase is not None
+        values = self._values
         tile, line, is_write = req.tile, req.line, req.is_write
 
         if self.fill.hooks.morph_level(line) == "llc":
@@ -329,10 +333,7 @@ class PrivateCachePath:
             self.shared.access_line(req)
             return
 
-        if phased:
-            stats.add("engine_l1.accesses")
-        else:
-            counters["engine_l1.accesses"] += 1
+        values[self._engine_l1_accesses] += 1
         entry = self.engine_l1[tile].lookup(line)
         if self.emit_cache_access:
             self.bus.emit(
@@ -349,10 +350,7 @@ class PrivateCachePath:
         req.latency += 1
 
         # Snoop the on-tile L2 (no fill -- the caches stay distinct).
-        if phased:
-            stats.add("l2.accesses")
-        else:
-            counters["l2.accesses"] += 1
+        values[self._l2_accesses] += 1
         l2_entry = self.l2[tile].lookup(line)
         if self.emit_cache_access:
             self.bus.emit(
@@ -382,7 +380,7 @@ class PrivateCachePath:
                 payload_bytes=DATA_BYTES,
                 now=h.machine.scheduler.now,
             )
-            stats.add("near_memory.direct_accesses")
+            values[self._direct_accesses] += 1
             req.record("dram", "direct")
             self.fill_private(tile, line, is_write, True, morph=False)
             return
@@ -478,12 +476,13 @@ class PrivateCachePath:
         result = self.fill.run_on_miss_if_allowed(tile, line)
         if result is _PREFETCH_DENIED:
             return
-        self.stats.add("prefetch.issued")
+        values = self._values
+        values[self._prefetch_issued] += 1
         if result is not None:
             for obj_line in result.lines:
                 self.insert_l2(tile, obj_line, dirty=result.dirty, morph=True)
-            self.stats.add("morph.l2_constructions")
-            self.stats.add("prefetch.morph_fills")
+            values[self._l2_constructions] += 1
+            values[self._prefetch_morph_fills] += 1
             if self.emit_morph_construct:
                 self.bus.emit(MorphConstruct("l2", tile, line))
             return
@@ -503,7 +502,17 @@ class SharedCachePath:
         self.h = hierarchy
         cfg = hierarchy.config
         self.config = cfg
-        self.stats = hierarchy.stats
+        self.stats = stats = hierarchy.stats
+        self._values = stats.values
+        self._llc_accesses = stats.slot("llc.accesses")
+        self._llc_hits = stats.slot("llc.hits")
+        self._llc_misses = stats.slot("llc.misses")
+        self._llc_writebacks = stats.slot("llc.writebacks")
+        self._llc_constructions = stats.slot("morph.llc_constructions")
+        self._upgrades = stats.slot("coherence.upgrades")
+        self._ping_pongs = stats.slot("coherence.ping_pongs")
+        self._invalidations = stats.slot("coherence.invalidations")
+        self._recalls = stats.slot("coherence.recalls")
         self.bus = hierarchy.bus
         n = cfg.n_tiles
         bank_bits = (n - 1).bit_length()
@@ -549,16 +558,11 @@ class SharedCachePath:
     def access_line(self, req):
         """Access ``req.line`` at its LLC bank on behalf of the requester."""
         h = self.h
-        stats = self.stats
-        counters = stats.counters
-        phased = stats._phase is not None
+        values = self._values
         line, is_write = req.line, req.is_write
         bank = (line >> self.fill.hooks.bank_shift(line)) & self._bank_mask
         req.latency += h.noc.send(req.tile, bank, CTRL_BYTES)
-        if phased:
-            stats.add("llc.accesses")
-        else:
-            counters["llc.accesses"] += 1
+        values[self._llc_accesses] += 1
         req.latency += self.resolve_coherence(bank, req.tile, line, is_write)
 
         llc = self.llc[bank]
@@ -568,10 +572,7 @@ class SharedCachePath:
                 CacheAccess("llc", bank, line, entry is not None, is_write, req.engine)
             )
         if entry is not None:
-            if phased:
-                stats.add("llc.hits")
-            else:
-                counters["llc.hits"] += 1
+            values[self._llc_hits] += 1
             req.outcomes.append(("llc", "hit"))
             req.latency += self._llc_hit
             if is_write:
@@ -579,10 +580,7 @@ class SharedCachePath:
             req.latency += h.noc.send(bank, req.tile, DATA_BYTES)
             return
 
-        if phased:
-            stats.add("llc.misses")
-        else:
-            counters["llc.misses"] += 1
+        values[self._llc_misses] += 1
         req.outcomes.append(("llc", "miss"))
         req.latency += self._llc_tag
 
@@ -592,7 +590,7 @@ class SharedCachePath:
             req.latency += result.latency
             for obj_line in result.lines:
                 self.insert_llc(bank, obj_line, dirty=result.dirty or is_write, morph=True)
-            stats.add("morph.llc_constructions")
+            values[self._llc_constructions] += 1
             if self.emit_morph_construct:
                 self.bus.emit(MorphConstruct("llc", bank, line))
         else:
@@ -622,7 +620,7 @@ class SharedCachePath:
             return 0
         bank = self.bank_of(line)
         latency = self.h.noc.round_trip(tile, bank, CTRL_BYTES, CTRL_BYTES)
-        self.stats.add("coherence.upgrades")
+        self._values[self._upgrades] += 1
         if self.emit_coherence:
             self.bus.emit(CoherenceAction("upgrade", line, bank, tile))
         latency += self.invalidate_sharers(bank, line, keep_tile=tile)
@@ -638,7 +636,7 @@ class SharedCachePath:
         owner = ent.owner
         if owner is not None and owner != requester_tile:
             # Another tile holds the line modified: fetch and write back.
-            self.stats.add("coherence.ping_pongs")
+            self._values[self._ping_pongs] += 1
             if self.emit_coherence:
                 self.bus.emit(CoherenceAction("ping_pong", line, bank, owner))
             latency += self.h.noc.send(bank, owner, CTRL_BYTES)
@@ -657,7 +655,7 @@ class SharedCachePath:
         for sharer in sorted(self.dir.sharers_of(line)):
             if sharer == keep_tile:
                 continue
-            self.stats.add("coherence.invalidations")
+            self._values[self._invalidations] += 1
             if self.emit_coherence:
                 self.bus.emit(CoherenceAction("invalidation", line, bank, sharer))
             latency = max(
@@ -678,7 +676,7 @@ class SharedCachePath:
         """A dirty private victim writes back into the line's LLC bank."""
         bank = self.bank_of(line)
         self.h.noc.send(tile, bank, DATA_BYTES)
-        self.stats.add("llc.accesses")
+        self._values[self._llc_accesses] += 1
         llc_entry = self.llc[bank].lookup(line, touch=False)
         if self.emit_cache_access:
             self.bus.emit(
@@ -705,7 +703,7 @@ class SharedCachePath:
         # Inclusive LLC: recall private copies everywhere.
         dirty = victim.dirty
         for sharer in sorted(self.dir.sharers_of(line)):
-            self.stats.add("coherence.recalls")
+            self._values[self._recalls] += 1
             if self.emit_coherence:
                 self.bus.emit(CoherenceAction("recall", line, bank, sharer))
             self.h.noc.round_trip(bank, sharer, CTRL_BYTES, CTRL_BYTES)
@@ -734,7 +732,7 @@ class SharedCachePath:
                 payload_bytes=DATA_BYTES,
                 now=self.h.machine.scheduler.now,
             )
-            self.stats.add("llc.writebacks")
+            self._values[self._llc_writebacks] += 1
 
 
 class Hierarchy:

@@ -19,6 +19,10 @@ class MeshNoc:
         self.width = config.mesh_width
         self.height = (self.n_tiles + self.width - 1) // self.width
         self.stats = stats
+        self._values = stats.values
+        self._messages = stats.slot("noc.messages")
+        self._flits_sent = stats.slot("noc.flits")
+        self._flit_hops = stats.slot("noc.flit_hops")
         self.bus = bus if bus is not None else EventBus()
         #: Fault hook (:mod:`repro.sim.faults`): when a controller with
         #: NoC rules attaches it sets itself here; ``None`` (default)
@@ -74,21 +78,17 @@ class MeshNoc:
             cached = (flits, flits - 1)
             self._flits[payload_bytes] = cached
         flits, serialization = cached
-        stats = self.stats
-        if stats._phase is None:
-            counters = stats.counters
-            counters["noc.messages"] += 1
-            counters["noc.flits"] += flits
-            counters["noc.flit_hops"] += flits * hops
-        else:
-            stats.add("noc.messages")
-            stats.add("noc.flits", flits)
-            stats.add("noc.flit_hops", flits * hops)
+        values = self._values
+        values[self._messages] += 1
+        values[self._flits_sent] += flits
         if self._emit_flit_hop:
             self.bus.emit(FlitHop(src, dst, payload_bytes, flits, hops))
         if hops:
+            values[self._flit_hops] += flits * hops
             latency = self._hop_latency[hops] + serialization
         else:
+            # A 0-hop send still writes noc.flit_hops, with 0.
+            self.stats.zero_writes.add(self._flit_hops)
             latency = self._hop_latency[0]
         if self.faults is not None:
             latency += self.faults.on_noc_message(src, dst, payload_bytes)

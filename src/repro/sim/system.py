@@ -56,6 +56,9 @@ class Machine:
         "scheduler",
         "_core_cfg",
         "_engine_cfg",
+        "_values",
+        "_core_instructions",
+        "_engine_instructions",
         "address_space",
         "energy_model",
         "mem",
@@ -80,6 +83,9 @@ class Machine:
         # (``compute_latency`` runs once per Compute/Branch op).
         self._core_cfg = config.core
         self._engine_cfg = config.engine
+        self._values = self.stats.values
+        self._core_instructions = self.stats.slot("core.instructions")
+        self._engine_instructions = self.stats.slot("engine.instructions")
         self.address_space = AddressSpace(config.line_size)
         self.energy_model = EnergyModel(
             params=energy_params, ideal_engine=config.engine.ideal
@@ -177,20 +183,13 @@ class Machine:
         """Latency of ``instructions`` on the context's compute resource."""
         if instructions <= 0:
             return 0.0
-        stats = self.stats
         if ctx.is_engine:
-            if stats._phase is None:
-                stats.counters["engine.instructions"] += instructions
-            else:
-                stats.add("engine.instructions", instructions)
+            self._values[self._engine_instructions] += instructions
             engine = self._engine_cfg
             if engine.ideal:
                 return 0.0
             return instructions * engine.pe_latency / engine.issue_width
-        if stats._phase is None:
-            stats.counters["core.instructions"] += instructions
-        else:
-            stats.add("core.instructions", instructions)
+        self._values[self._core_instructions] += instructions
         return instructions / self._core_cfg.ipc
 
     def wake_all(self, condition, value=None, at_time=None):

@@ -214,11 +214,13 @@ class TestFaultsCli:
         )
         assert "faults:" in capsys.readouterr().out
 
-    def test_bad_fault_spec_rejected(self):
-        from repro.sim.faults import FaultPlanError
-
-        with pytest.raises(FaultPlanError):
-            cli.main(["ablation-mc-cache", "--no-check", "--faults", "meteor:1"])
+    def test_bad_fault_spec_rejected(self, capsys):
+        for spec, message in [
+            ("meteor:1", "--faults: unknown fault clause 'meteor:1'"),
+            ("crash:x@2000", "--faults: bad fault clause 'crash:x@2000'"),
+        ]:
+            assert cli.main(["ablation-mc-cache", "--no-check", "--faults", spec]) == 2
+            assert capsys.readouterr().err.startswith(message)
 
     def test_crashing_workload_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         import json

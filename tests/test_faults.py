@@ -82,6 +82,26 @@ class TestPlanGrammar:
         with pytest.raises(FaultPlanError, match="window"):
             FaultPlan.parse("stall:0@100+0")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "crash:1@-5",
+            "crash:1@inf",
+            "crash:1@nan",
+            "stall:0@-1+10",
+            "stall:0@10+inf",
+            "exhaust:0@nan+5",
+            "noc-delay:1@-50",
+            "noc-delay:0.5@inf",
+            "noc-drop:0.5@-1",
+            "dram-err:0-9@0.5@-3",
+            "dram-err:0-9@0.5@nan",
+        ],
+    )
+    def test_negative_or_non_finite_cycles_rejected(self, spec):
+        with pytest.raises(FaultPlanError, match="negative or non-finite"):
+            FaultPlan.parse(spec)
+
     def test_tile_out_of_range_rejected_at_attach(self):
         machine = Machine(small_config())
         with pytest.raises(FaultPlanError, match="tile 99"):

@@ -11,6 +11,8 @@ execution logs, final times, and statistics -- guarding the
 tie-break-by-enqueue-order contract documented in ``scheduler.py``.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -74,6 +76,52 @@ def _run_mode(mode, seed, n_contexts=6, steps=40):
         )
     final = machine.run()
     return log, final, dict(machine.stats.counters)
+
+
+def _run_contended(mode, seed):
+    """Everything on one tile: maximal timestamp collisions."""
+    machine = _make_machine(mode)
+    base = machine.address_space.alloc(8 * 64, align=64)
+    log = []
+
+    def program(name, trace):
+        for i, (kind, arg) in enumerate(trace):
+            log.append((name, i))
+            if kind == "compute":
+                yield Compute(arg)
+            elif kind == "sleep":
+                yield Sleep(arg)
+            elif kind == "load":
+                yield Load(base + (arg % 512), 8)
+            else:
+                yield Store(base + (arg % 512), 8)
+
+    for c in range(8):
+        trace = _random_op_trace(seed * 77 + c, 25)
+        machine.spawn(program(f"c{c}", trace), tile=0, name=f"c{c}")
+    final = machine.run()
+    return log, final, dict(machine.stats.counters)
+
+
+def _digest(run):
+    """sha256 of one run's (log, final time, stats), key order canonical."""
+    return hashlib.sha256(json.dumps(list(run), sort_keys=True).encode()).hexdigest()
+
+
+#: ``_digest`` of each seeded workload, recorded when the heap and
+#: run-list schedulers agreed on all of them. They keep the schedule
+#: pinned without a second scheduler to compare against.
+RANDOM_WORKLOAD_DIGESTS = {
+    1: "e44d4ea110395e43751803d2f780beeb10682dd8cb7de56bf3455e3a50109cef",
+    7: "fb9cb82301d0bdde07417c3b1ee58dfb034498eb07b623297fdec89efae39c87",
+    23: "5ce355e30f6b13803b1bf90f9e2a6eb9ff26c6a248571fd4c7d7836062fb2c51",
+    101: "058427b2c2ec39cf136cb95e7f04fc9571190e6d23caa81d4f83c0562d6a2eaa",
+    424242: "ab85c2f8527893358f57122993ae6802fb4b74e5859ae8bf4645f088a2973e13",
+}
+CONTENDED_DIGESTS = {
+    3: "ddf06e83e82a444968c57555685ba955e7cb17590bb9460aeed01734e5465b96",
+    17: "392bd647d26b704b2653300d13257ce70eabc74b1b00c5fbcd225f0e4a6dc6c1",
+}
 
 
 class TestSchedulerModeSelection:
@@ -150,30 +198,19 @@ class TestHeapRunlistEquivalence:
     @pytest.mark.parametrize("seed", [3, 17])
     def test_contended_single_tile(self, seed):
         """Everything on one tile: maximal timestamp collisions."""
-        machine_results = []
-        for mode in ("runlist", "heap"):
-            machine = _make_machine(mode)
-            base = machine.address_space.alloc(8 * 64, align=64)
-            log = []
+        assert _run_contended("runlist", seed) == _run_contended("heap", seed)
 
-            def program(name, trace):
-                for i, (kind, arg) in enumerate(trace):
-                    log.append((name, i))
-                    if kind == "compute":
-                        yield Compute(arg)
-                    elif kind == "sleep":
-                        yield Sleep(arg)
-                    elif kind == "load":
-                        yield Load(base + (arg % 512), 8)
-                    else:
-                        yield Store(base + (arg % 512), 8)
 
-            for c in range(8):
-                trace = _random_op_trace(seed * 77 + c, 25)
-                machine.spawn(program(f"c{c}", trace), tile=0, name=f"c{c}")
-            final = machine.run()
-            machine_results.append((log, final, dict(machine.stats.counters)))
-        assert machine_results[0] == machine_results[1]
+class TestRecordedSchedules:
+    """The seeded workloads reproduce their recorded digests."""
+
+    @pytest.mark.parametrize("seed", sorted(RANDOM_WORKLOAD_DIGESTS))
+    def test_random_workload_digest(self, seed):
+        assert _digest(_run_mode("runlist", seed)) == RANDOM_WORKLOAD_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(CONTENDED_DIGESTS))
+    def test_contended_digest(self, seed):
+        assert _digest(_run_contended("runlist", seed)) == CONTENDED_DIGESTS[seed]
 
 
 class TestMacroEquivalence:

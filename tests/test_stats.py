@@ -1,5 +1,10 @@
 """Unit tests for the statistics bag."""
 
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.sim.stats import Stats
 
 
@@ -88,3 +93,116 @@ class TestViews:
         report = stats.report(prefixes=["a."])
         assert "a.x" in report
         assert "b.y" not in report
+
+
+class CounterReference:
+    """The counter semantics the plane reproduces: one ``Counter`` write
+    per increment, plus a phase-qualified write while a phase is open."""
+
+    def __init__(self):
+        self.counters = Counter()
+        self.phase = None
+
+    def add(self, name, amount):
+        self.counters[name] += amount
+        if self.phase is not None:
+            self.counters[f"{self.phase}/{name}"] += amount
+
+
+def _exact(counters):
+    """Key set, types and float bits: ``repr`` round-trips all three."""
+    return sorted((name, repr(value)) for name, value in counters.items())
+
+
+_INTS = st.integers(min_value=0, max_value=50)
+_ANY = st.one_of(
+    st.integers(min_value=-5, max_value=50),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.just(0),
+    st.just(0.0),
+)
+_PLANE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("slot"), st.integers(0, 2), _INTS),
+        st.tuples(
+            st.just("exact"),
+            st.just(0),
+            st.one_of(_INTS, st.floats(min_value=0, max_value=1e6), st.just(0.0)),
+        ),
+        st.tuples(st.just("add"), st.integers(0, 5), _ANY),
+        st.tuples(st.just("phase"), st.sampled_from([None, "a", "b"]), st.just(0)),
+        st.tuples(st.just("read"), st.just(0), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+class TestCounterPlaneOracle:
+    """Slot writes, by-name adds and phase folds equal per-increment counting."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_PLANE_OPS)
+    def test_plane_matches_counter_reference(self, ops):
+        stats, ref = Stats(), CounterReference()
+        counted = ["c.hits", "c.misses", "shared.both"]
+        slots = [stats.slot(name) for name in counted]
+        exact, exact_phase = stats.exact_slot("q.cycles")
+        # By-name adds reach bound names too (ints only on counted ones).
+        by_name = ["x.events", "y.bytes", "z.cycles", "q.cycles"]
+        values = stats.values
+        for kind, which, amount in ops:
+            if kind == "slot":
+                # A counted site: a write of 0 only records the write.
+                if amount:
+                    values[slots[which]] += amount
+                else:
+                    stats.zero_writes.add(slots[which])
+                ref.add(counted[which], amount)
+            elif kind == "exact":
+                values[exact] += amount
+                values[exact_phase] += amount
+                if not amount:
+                    stats.zero_writes.add(exact)
+                ref.add("q.cycles", amount)
+            elif kind == "add":
+                if which < len(by_name):
+                    name = by_name[which]
+                else:
+                    name, amount = "shared.both", int(abs(amount))
+                stats.add(name, amount)
+                ref.add(name, amount)
+            elif kind == "phase":
+                stats.set_phase(which)
+                ref.phase = which
+            else:
+                assert _exact(stats.snapshot()) == _exact(ref.counters)
+                assert _exact(stats.counters) == _exact(ref.counters)
+                for name, value in ref.counters.items():
+                    assert repr(stats[name]) == repr(value)
+        stats.set_phase(None)
+        assert _exact(stats.snapshot()) == _exact(ref.counters)
+
+    def test_zero_write_creates_the_key(self):
+        stats = Stats()
+        hops = stats.slot("noc.flit_hops")
+        stats.set_phase("edge")
+        stats.zero_writes.add(hops)
+        stats.set_phase(None)
+        assert stats.snapshot() == {"noc.flit_hops": 0, "edge/noc.flit_hops": 0}
+
+    def test_bound_counter_rejects_float_amounts(self):
+        stats = Stats()
+        stats.slot("l1.accesses")
+        with pytest.raises(TypeError, match="integer"):
+            stats.add("l1.accesses", 0.5)
+        stats.exact_slot("dram.queue_cycles")
+        with pytest.raises(TypeError, match="float"):
+            stats.slot("dram.queue_cycles")
+
+    def test_counters_view_is_read_only_and_includes_open_phase(self):
+        stats = Stats()
+        stats.set_phase("edge")
+        stats.values[stats.slot("dram.accesses")] += 3
+        assert stats.counters["edge/dram.accesses"] == 3
+        with pytest.raises(TypeError):
+            stats.counters["dram.accesses"] = 0
