@@ -32,6 +32,7 @@ this to prove a sweep completes bit-identically through requeue.
 """
 
 import hashlib
+import importlib
 import os
 import signal
 import time
@@ -150,11 +151,15 @@ class LocalInlineBackend(ExecutorBackend):
 class LocalProcessBackend(ExecutorBackend):
     """One worker process per job, supervised over a result pipe.
 
-    Uses the ``fork`` start method where available (Linux -- workers
-    inherit warm imports and the parent's run-log handler, matching
-    the previous ``ProcessPoolExecutor`` behavior), falling back to
-    the platform default elsewhere. Workers are daemonic, so an
-    abandoned supervisor never leaks simulators.
+    Uses the ``fork`` start method where available (Linux), falling
+    back to the platform default elsewhere. A forked worker inherits
+    the supervisor's memory: every module the supervisor has imported,
+    the parent's run-log handler, and the job's runner module (the
+    ``module`` of its ``"module:function"`` path), which :meth:`submit`
+    imports in the supervisor just before the fork. So a sweep pays
+    for importing a workload module, and numpy with it, once instead
+    of once per run. Workers are daemonic, so an abandoned supervisor
+    never leaks simulators.
     """
 
     name = "local-process"
@@ -181,6 +186,10 @@ class LocalProcessBackend(ExecutorBackend):
         return self._workers - len(self._running)
 
     def submit(self, job):
+        try:
+            importlib.import_module(job["fn"].partition(":")[0])
+        except Exception:
+            pass  # the worker repeats the import; its error is the run's outcome
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,

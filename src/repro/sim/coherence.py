@@ -27,8 +27,7 @@ class DirectoryEntry:
 class Directory:
     """The (logically distributed, physically global here) LLC directory."""
 
-    def __init__(self, stats):
-        self.stats = stats
+    def __init__(self):
         self._entries = {}
 
     def entry(self, line):

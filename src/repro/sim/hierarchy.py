@@ -502,7 +502,7 @@ class SharedCachePath:
         self.h = hierarchy
         cfg = hierarchy.config
         self.config = cfg
-        self.stats = stats = hierarchy.stats
+        stats = hierarchy.stats
         self._values = stats.values
         self._llc_accesses = stats.slot("llc.accesses")
         self._llc_hits = stats.slot("llc.hits")
@@ -522,7 +522,7 @@ class SharedCachePath:
             hierarchy.build_cache(cfg.llc, "llc.", t, index_shift=bank_bits)
             for t in range(n)
         ]
-        self.dir = Directory(self.stats)
+        self.dir = Directory()
         #: ``n_tiles`` is a power of two (validated by SystemConfig), so
         #: the bank-index modulo reduces to this mask.
         self._bank_mask = n - 1

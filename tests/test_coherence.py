@@ -1,11 +1,10 @@
 """Unit tests for the coherence directory."""
 
 from repro.sim.coherence import Directory, DirectoryEntry
-from repro.sim.stats import Stats
 
 
 def make_dir():
-    return Directory(Stats())
+    return Directory()
 
 
 class TestDirectory:

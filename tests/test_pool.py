@@ -321,3 +321,29 @@ class TestArtifacts:
         saved = json.loads(reports[0].read_text())
         assert saved["seed"] == 3
         assert saved["machines"]
+
+
+class TestWarmForks:
+    """Forked workers inherit the runner module the supervisor imported."""
+
+    def test_workers_inherit_the_runner_module(self, tmp_path):
+        pool = ExperimentPool(jobs=2, cache_dir=str(tmp_path / "cache"))
+        specs = [
+            RunSpec("tests.fork_probe:inherited_point", {"tag": tag}, tag)
+            for tag in ("a", "b")
+        ]
+        results = pool.run_results(specs)
+        assert [r["tag"] for r in results] == ["a", "b"]
+        assert all(r["inherited"] for r in results)
+
+    def test_unimportable_runner_fails_only_its_run(self, tmp_path):
+        pool = ExperimentPool(jobs=2, cache_dir=str(tmp_path / "cache"))
+        specs = [
+            RunSpec(_COMPACTION, {"compaction": True}, "good"),
+            RunSpec("tests.no_such_module:point", {}, "bad"),
+        ]
+        good, bad = pool.run(specs)
+        assert good["status"] == "ok"
+        assert bad["status"] == "error"
+        assert bad["error"]["type"] == "ModuleNotFoundError"
+        assert [f["label"] for f in pool.failures] == ["bad"]
